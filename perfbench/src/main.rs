@@ -2,7 +2,7 @@
 //! SimPhony-RS sweep engine (`simphony-explore`) and daemon (`simphony-serve`).
 //!
 //! ```text
-//! perfbench --workload <dse_aware|extract_heavy|warm_replay|daemon_mixed>
+//! perfbench --workload <dse_aware|extract_heavy|daemon_mixed>
 //!           --seed <n> --seconds <s> --trace <0|1>
 //! ```
 //!
@@ -98,11 +98,14 @@ fn main() -> ExitCode {
     };
     // The vendored rayon re-reads this on every parallel call, so setting it
     // before any work applies to the whole run. Traced runs go sequential so
-    // that stage times add up against wall time. `warm_replay` runs one
-    // lookup thread beside the pipeline's writer thread: on two cores the
-    // default pool oversubscribes them, which ran slower and spread more
-    // between runs than the metric bounds allow.
-    if args.trace || args.workload == Workload::WarmReplay {
+    // that stage times add up against wall time. The sweep workloads run one
+    // compute thread beside the pipeline's writer thread: on two shared
+    // cores the default pool's speed follows how much of the second core
+    // the host lends, which moved throughput by up to 25% between runs of
+    // the same code (5% at one thread), and its peak RSS by 18%. The daemon
+    // keeps the default pool: at one thread its `run` p99 spread 0.24 of
+    // the median between runs against 0.02-0.08.
+    if args.trace || args.workload != Workload::DaemonMixed {
         std::env::set_var("RAYON_NUM_THREADS", "1");
     }
     let work = PathBuf::from(".bench_work").join(format!(

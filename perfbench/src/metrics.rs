@@ -115,3 +115,18 @@ pub fn percentile(values: &[f64], p: f64) -> f64 {
     let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
+
+/// Median over `blocks` consecutive, near-equal blocks of `values` (in the
+/// order measured) of each block's nearest-rank percentile `p`; 0 when
+/// empty. With few samples a plain p99 is the single slowest one, so one
+/// stall anywhere in the run sets it; here a stall moves one block only.
+pub fn block_percentile(values: &[f64], p: f64, blocks: usize) -> f64 {
+    let blocks = blocks.clamp(1, values.len().max(1));
+    let per_block: Vec<f64> = (0..blocks)
+        .map(|b| {
+            let range = b * values.len() / blocks..(b + 1) * values.len() / blocks;
+            percentile(&values[range], p)
+        })
+        .collect();
+    median(&per_block)
+}

@@ -155,7 +155,7 @@ fn write_trace(path: &Path, tracers: &[&Tracer]) -> BenchResult<()> {
 
 /// Cache backend wrapper recording a span per `get_batch`,
 /// `put_serialized` and `flush` (the calls the executor makes), and
-/// counting lookups and hits.
+/// counting lookups.
 pub struct TimedCache<'t, C> {
     inner: C,
     tracer: &'t Tracer,
@@ -184,10 +184,8 @@ impl<C: CacheBackend> CacheBackend for TimedCache<'_, C> {
         let found = self.tracer.time("explore.cache.get_batch", shard, || {
             self.inner.get_batch(points)
         });
-        let hits = found.iter().filter(|r| r.is_some()).count();
         self.tracer
             .add("explore.cache.lookups", points.len() as u64);
-        self.tracer.add("explore.cache.hits", hits as u64);
         found
     }
 
@@ -361,7 +359,7 @@ struct Layers {
     values: BTreeMap<&'static str, Vec<f64>>,
 }
 
-const LAYER_METRICS: [(&str, &str); 36] = [
+const LAYER_METRICS: [(&str, &str); 35] = [
     ("onn.extract.calls", "count"),
     ("onn.extract.busy_ms", "ms"),
     ("onn.extract.mean_ms", "ms"),
@@ -375,7 +373,6 @@ const LAYER_METRICS: [(&str, &str); 36] = [
     ("core.sim_unaware.mean_us", "us"),
     ("explore.render.busy_ms", "ms"),
     ("explore.cache.lookups", "count"),
-    ("explore.cache.hits", "count"),
     ("explore.cache.get_batch.busy_ms", "ms"),
     ("explore.cache.put.calls", "count"),
     ("explore.cache.put.busy_ms", "ms"),
@@ -452,10 +449,6 @@ impl Layers {
         self.set(
             "explore.cache.lookups",
             per(session.counter("explore.cache.lookups") as f64),
-        );
-        self.set(
-            "explore.cache.hits",
-            per(session.counter("explore.cache.hits") as f64),
         );
         for (stage, calls, busy) in [
             (
@@ -543,16 +536,8 @@ fn traced_sweep(
 ) -> BenchResult<Report> {
     let spec = workload.spec(seed);
     let total = spec.point_count()?;
-    let warm = workload == Workload::WarmReplay;
     let mut report = Report::default();
-    let populated = if warm {
-        let populated = workloads::populate(&spec, &work.join("setup"), &mut report)?;
-        report.attempted = 0;
-        Some(populated)
-    } else {
-        None
-    };
-    let expected_misses = if warm { 0 } else { distinct_keys(&spec)? };
+    let expected_misses = distinct_keys(&spec)?;
     let mut layers = Layers::default();
     let mut last = None;
     let dir = work.join("traced");
@@ -560,19 +545,11 @@ fn traced_sweep(
     let deadline = Instant::now() + budget;
     let mut iteration = 0;
     while iteration == 0 || Instant::now() < deadline {
-        let cache_dir = |tag: &str| match &populated {
-            Some(p) => p.cache_dir.clone(),
-            None => work.join(format!("cache-{tag}-{iteration}")),
-        };
+        let cache_dir = |tag: &str| work.join(format!("cache-{tag}-{iteration}"));
 
         // Untraced reference session.
         let plain = workloads::session(&spec, &cache_dir("plain"), &plain_out)?;
-        workloads::account(&mut report, &plain, total, warm);
-        if let Some(p) = &populated {
-            report.check(plain.output == p.output, || {
-                "warm session differs from the population run".to_string()
-            });
-        }
+        workloads::account(&mut report, &plain, total);
 
         // The same session through the wrappers.
         let session_tracer = Tracer::new();
@@ -630,10 +607,8 @@ fn traced_sweep(
         report.check(workloads::read_output(&replay_out)? == plain.output, || {
             "stage replay output differs from the untraced session".to_string()
         });
-        if !warm {
-            for tag in ["plain", "wrapped", "replay"] {
-                fs::remove_dir_all(cache_dir(tag))?;
-            }
+        for tag in ["plain", "wrapped", "replay"] {
+            fs::remove_dir_all(cache_dir(tag))?;
         }
 
         let plain_ms = plain.wall.as_secs_f64() * 1e3;
