@@ -64,7 +64,9 @@ use simphony_explore::{
     JsonlSink, LeaseConfig, MultiSink, Objective, RetryPolicy, ShardProgress, StreamOptions,
     StreamOutcome, SweepSpec, VecSink, WorkloadSpec,
 };
-use simphony_serve::{distribute_sweep, DistConfig, ServeConfig, Server, PROTOCOL_VERSION};
+use simphony_serve::{
+    distribute_sweep, DistConfig, ServeConfig, Server, EXIT_USAGE, PROTOCOL_VERSION,
+};
 use simphony_traffic::{run_serving_with, Discipline, ServingRecord, ServingSpec};
 
 fn arch_family_list() -> String {
@@ -646,7 +648,7 @@ fn cli() -> Command {
                         .long("bits")
                         .value_name("B")
                         .default_value("8")
-                        .help("Operand bitwidth"),
+                        .help("Operand bitwidth, 1-16"),
                 )
                 .arg(
                     Arg::new("sparsity")
@@ -698,7 +700,7 @@ fn main() -> ExitCode {
         Some(("serve", sub)) => cmd_serve(sub).map(|()| ExitCode::SUCCESS),
         Some(("worker", sub)) => cmd_worker(sub).map(|()| ExitCode::SUCCESS),
         Some(("pareto", sub)) => cmd_pareto(sub).map(|()| ExitCode::SUCCESS),
-        Some(("run", sub)) => cmd_run(sub).map(|()| ExitCode::SUCCESS),
+        Some(("run", sub)) => cmd_run(sub),
         Some(("spec", sub)) => cmd_spec(sub).map(|()| ExitCode::SUCCESS),
         _ => unreachable!("subcommand_required guarantees a match"),
     };
@@ -1592,7 +1594,7 @@ fn parse_workload(selector: &str) -> Result<WorkloadSpec, ExploreError> {
     )))
 }
 
-fn cmd_run(matches: &clap::ArgMatches) -> Result<(), ExploreError> {
+fn cmd_run(matches: &clap::ArgMatches) -> Result<ExitCode, ExploreError> {
     let family_name: String = matches.get_one("arch").expect("has default");
     let family = ArchFamily::parse(&family_name).ok_or_else(|| {
         ExploreError::invalid_spec(format!(
@@ -1615,7 +1617,15 @@ fn cmd_run(matches: &clap::ArgMatches) -> Result<(), ExploreError> {
     spec.core_width = vec![matches.get_one("width").expect("has default")];
     spec.clock_ghz = matches.get_one("clock").expect("has default");
 
-    let points = spec.expand()?;
+    // Every axis comes from a flag, so a spec that fails validation (say,
+    // `--bits 65`) is a usage error, like a flag value that does not parse.
+    let points = match spec.expand() {
+        Ok(points) => points,
+        Err(err) => {
+            eprintln!("error: {err}");
+            return Ok(ExitCode::from(EXIT_USAGE));
+        }
+    };
     let report =
         simphony_explore::simulate_point(&points[0]).map_err(|source| ExploreError::Point {
             index: 0,
@@ -1623,7 +1633,7 @@ fn cmd_run(matches: &clap::ArgMatches) -> Result<(), ExploreError> {
             source,
         })?;
     println!("{report}");
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
 fn cmd_spec(matches: &clap::ArgMatches) -> Result<(), ExploreError> {

@@ -103,6 +103,23 @@ fn a_clean_sweep_exits_zero_and_a_ledgered_sweep_exits_three() {
 }
 
 #[test]
+fn run_with_an_unsupported_bitwidth_is_a_usage_error() {
+    for bits in ["17", "65"] {
+        let out = run(&["run", "--bits", bits]);
+        assert_eq!(exit_code(&out), 2, "--bits {bits}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("1..=16"), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+    let out = run(&["run", "--bits", "16"]);
+    assert_eq!(
+        exit_code(&out),
+        0,
+        "the widest supported width runs: {out:?}"
+    );
+}
+
+#[test]
 fn resume_names_each_diverging_checkpoint_field() {
     let dir = scratch_dir("resume-diverge");
     let spec = write_spec(&dir, &small_spec("original"));

@@ -8,7 +8,7 @@ use std::sync::OnceLock;
 use serde::{DeError, Deserialize, Serialize, Value};
 
 use simphony_arch::PtcArchitecture;
-use simphony_dataflow::{GemmMapping, LatencyBreakdown, MemoryTraffic};
+use simphony_dataflow::{LatencyBreakdown, MemoryTraffic};
 use simphony_devlib::{ConverterScaling, DeviceKind, DeviceLibrary};
 use simphony_memsim::{MemoryHierarchy, MemoryLevel};
 use simphony_onn::LayerWorkload;
@@ -258,6 +258,11 @@ impl fmt::Display for LayerEnergyReport {
 
 /// Mean electrical power of the architecture's weight-encoding device for this
 /// workload, honouring the requested data awareness.
+///
+/// The data-aware mean evaluates the power model once per distinct sampled
+/// magnitude, then sums the table entry of every sample in sample order: the
+/// same summands in the same order as one `power_at` per sample, so the
+/// result is bit-identical to it at a fraction of the cost.
 fn weight_device_power(
     spec: &simphony_devlib::DeviceSpec,
     workload: &LayerWorkload,
@@ -266,11 +271,12 @@ fn weight_device_power(
     match awareness {
         DataAwareness::Unaware => spec.power_model().worst_case_power(),
         DataAwareness::Aware => {
-            let values = workload.normalized_abs_values();
-            if values.is_empty() {
+            let codes = workload.weight_codes();
+            if codes.is_empty() {
                 return spec.power_model().mean_power();
             }
-            let total_mw: f64 = values
+            let level_mw: Vec<f64> = workload
+                .weight_magnitudes()
                 .iter()
                 .map(|&v| {
                     if v == 0.0 {
@@ -280,62 +286,39 @@ fn weight_device_power(
                         spec.power_model().power_at(v).milliwatts()
                     }
                 })
-                .sum();
-            Power::from_milliwatts(total_mw / values.len() as f64)
+                .collect();
+            let total_mw: f64 = codes.iter().map(|&code| level_mw[usize::from(code)]).sum();
+            Power::from_milliwatts(total_mw / codes.len() as f64)
         }
     }
 }
 
-/// Computes the energy of one mapped layer on one sub-architecture.
+/// Computes the device energy of one mapped layer on one sub-architecture.
 ///
 /// Device energy is accumulated over the analog-active cycles
 /// (`I × compute_cycles`): static (or value-aware) power times active time plus
-/// per-operation dynamic energy for every switching event. Data movement is
-/// charged per memory level from the dataflow traffic model, and the laser is
-/// charged at the link-budget power.
+/// per-operation dynamic energy for every switching event. The laser is
+/// charged at the link-budget power. Data movement is added separately (see
+/// [`data_movement_energy`]).
+///
+/// `counts` are the architecture's instance counts
+/// ([`PtcArchitecture::instance_counts`]). The count rules are arithmetic over
+/// the architecture parameters only, so a multi-layer simulation evaluates
+/// them once per sub-architecture instead of once per layer (see
+/// `Simulator::simulate`).
 ///
 /// # Errors
 ///
 /// Propagates device-lookup and scaling-rule errors.
-#[allow(clippy::too_many_arguments)]
-pub fn layer_energy(
-    arch: &PtcArchitecture,
-    library: &DeviceLibrary,
-    link: &LinkBudgetReport,
-    hierarchy: &MemoryHierarchy,
-    workload: &LayerWorkload,
-    mapping: &GemmMapping,
-    latency: &LatencyBreakdown,
-    awareness: DataAwareness,
-) -> Result<LayerEnergyReport> {
-    let counts = arch.instance_counts()?;
-    layer_energy_with_counts(
-        arch, library, link, hierarchy, &counts, workload, mapping, latency, awareness,
-    )
-}
-
-/// [`layer_energy`] with the architecture's instance counts precomputed.
-///
-/// The count rules are arithmetic over the architecture parameters only, so a
-/// multi-layer simulation evaluates them once per sub-architecture instead of
-/// once per layer (see `Simulator::simulate`).
-///
-/// # Errors
-///
-/// Propagates device-lookup and scaling-rule errors.
-#[allow(clippy::too_many_arguments)]
 pub fn layer_energy_with_counts(
     arch: &PtcArchitecture,
     library: &DeviceLibrary,
     link: &LinkBudgetReport,
-    _hierarchy: &MemoryHierarchy,
     counts: &BTreeMap<String, usize>,
     workload: &LayerWorkload,
-    mapping: &GemmMapping,
     latency: &LatencyBreakdown,
     awareness: DataAwareness,
 ) -> Result<LayerEnergyReport> {
-    let _ = mapping;
     let clock = arch.clock();
     let active_cycles = latency.iterations * latency.compute_cycles;
     let active_time = clock.period() * active_cycles as f64;
@@ -411,9 +394,11 @@ mod tests {
     use crate::area::default_memory_hierarchy;
     use crate::link_budget::link_budget;
     use simphony_arch::generators;
-    use simphony_dataflow::{layer_latency, map_gemm, memory_traffic, DataflowStyle};
+    use simphony_dataflow::{layer_latency, map_gemm, memory_traffic, DataflowStyle, GemmMapping};
+    use simphony_devlib::{DeviceSpec, LookupTable, PowerFidelity, PowerModel};
     use simphony_netlist::ArchParams;
     use simphony_onn::{models, ModelWorkload, PruningConfig, QuantConfig};
+    use simphony_units::BitWidth;
 
     fn setup(
         arch: PtcArchitecture,
@@ -453,21 +438,39 @@ mod tests {
         (accel, workload, mapping, latency, link, hierarchy)
     }
 
+    fn device_energy(
+        arch: &PtcArchitecture,
+        accel: &Accelerator,
+        link: &LinkBudgetReport,
+        workload: &LayerWorkload,
+        latency: &LatencyBreakdown,
+        awareness: DataAwareness,
+    ) -> LayerEnergyReport {
+        let counts = arch.instance_counts().unwrap();
+        layer_energy_with_counts(
+            arch,
+            accel.library(),
+            link,
+            &counts,
+            workload,
+            latency,
+            awareness,
+        )
+        .unwrap()
+    }
+
     #[test]
     fn tempo_energy_breakdown_contains_expected_components() {
         let arch = generators::tempo(ArchParams::new(2, 2, 4, 4), 5.0).unwrap();
         let (accel, workload, mapping, latency, link, hierarchy) = setup(arch.clone(), 0.0);
-        let report = layer_energy(
+        let report = device_energy(
             &arch,
-            accel.library(),
+            &accel,
             &link,
-            &hierarchy,
             &workload,
-            &mapping,
             &latency,
             DataAwareness::Aware,
-        )
-        .unwrap();
+        );
         for kind in ["MZM", "DAC", "ADC", "Laser", "PD"] {
             assert!(report.by_kind.contains_key(kind), "missing {kind}");
             assert!(
@@ -486,44 +489,14 @@ mod tests {
         // The Fig. 10(b) effect on SCATTER: unaware >> aware (analytical) > aware (measured).
         let analytical = generators::scatter(ArchParams::new(2, 2, 4, 4), 5.0).unwrap();
         let measured = generators::scatter_measured(ArchParams::new(2, 2, 4, 4), 5.0).unwrap();
-        let (accel, workload, mapping, latency, link, hierarchy) = setup(analytical.clone(), 0.6);
+        let (accel, workload, _, latency, link, _) = setup(analytical.clone(), 0.6);
 
-        let unaware = layer_energy(
-            &analytical,
-            accel.library(),
-            &link,
-            &hierarchy,
-            &workload,
-            &mapping,
-            &latency,
-            DataAwareness::Unaware,
-        )
-        .unwrap();
-        let aware = layer_energy(
-            &analytical,
-            accel.library(),
-            &link,
-            &hierarchy,
-            &workload,
-            &mapping,
-            &latency,
-            DataAwareness::Aware,
-        )
-        .unwrap();
-        let aware_measured = layer_energy(
-            &measured,
-            accel.library(),
-            &link,
-            &hierarchy,
-            &workload,
-            &mapping,
-            &latency,
-            DataAwareness::Aware,
-        )
-        .unwrap();
-        let ps_unaware = unaware.by_kind["PS"];
-        let ps_aware = aware.by_kind["PS"];
-        let ps_measured = aware_measured.by_kind["PS"];
+        let energy = |arch: &PtcArchitecture, awareness| {
+            device_energy(arch, &accel, &link, &workload, &latency, awareness)
+        };
+        let ps_unaware = energy(&analytical, DataAwareness::Unaware).by_kind["PS"];
+        let ps_aware = energy(&analytical, DataAwareness::Aware).by_kind["PS"];
+        let ps_measured = energy(&measured, DataAwareness::Aware).by_kind["PS"];
         assert!(ps_aware.picojoules() < 0.7 * ps_unaware.picojoules());
         assert!(ps_measured < ps_aware);
     }
@@ -541,7 +514,7 @@ mod tests {
         for bits in [4u8, 8u8] {
             let workload = ModelWorkload::extract(
                 &models::single_gemm(280, 28, 280),
-                &QuantConfig::uniform(simphony_units::BitWidth::new(bits)),
+                &QuantConfig::uniform(BitWidth::new(bits)),
                 &PruningConfig::dense(),
                 3,
             )
@@ -557,22 +530,98 @@ mod tests {
             .unwrap();
             let latency =
                 layer_latency(&workload, &arch, &mapping, hierarchy.glb_bandwidth()).unwrap();
-            let report = layer_energy(
+            let report = device_energy(
                 &arch,
-                accel.library(),
+                &accel,
                 &link,
-                &hierarchy,
                 &workload,
-                &mapping,
                 &latency,
                 DataAwareness::Aware,
-            )
-            .unwrap();
+            );
             adc_energy.push(report.by_kind["ADC"]);
         }
         assert!(
             adc_energy[0] < adc_energy[1],
             "4-bit ADCs should be cheaper than 8-bit"
         );
+    }
+
+    /// The data-aware mean as it was computed before the fold: one
+    /// `power_at` call per sample, summed in sample order.
+    fn per_sample_weight_power(spec: &DeviceSpec, workload: &LayerWorkload) -> Power {
+        let codes = workload.weight_codes();
+        if codes.is_empty() {
+            return spec.power_model().mean_power();
+        }
+        let total_mw: f64 = codes
+            .iter()
+            .map(|&code| workload.weight_magnitudes()[usize::from(code)])
+            .map(|v| {
+                if v == 0.0 {
+                    0.0
+                } else {
+                    spec.power_model().power_at(v).milliwatts()
+                }
+            })
+            .sum();
+        Power::from_milliwatts(total_mw / codes.len() as f64)
+    }
+
+    #[test]
+    fn folded_weight_power_is_bit_identical_to_the_per_sample_loop() {
+        let archs = [
+            generators::tempo,
+            generators::mzi_mesh,
+            generators::mrr_bank,
+            generators::butterfly,
+            generators::pcm_crossbar,
+            generators::scatter,
+            generators::scatter_measured,
+        ];
+        let library = DeviceLibrary::standard();
+        let mut specs: Vec<DeviceSpec> = archs
+            .iter()
+            .map(|generate| {
+                let arch = generate(ArchParams::new(2, 2, 4, 4), 5.0).unwrap();
+                library.get(arch.weight_device()).unwrap().clone()
+            })
+            .collect();
+        // The standard library has no simulation-backed table; add one.
+        let table =
+            LookupTable::new(vec![(0.0, 0.0), (0.3, 5.1), (0.7, 13.2), (1.0, 19.4)]).unwrap();
+        specs.push(
+            DeviceSpec::builder("ps_thermal_simulated", DeviceKind::PhaseShifterThermal)
+                .power_model(PowerModel::lookup(table, PowerFidelity::Simulated))
+                .build()
+                .unwrap(),
+        );
+        let covered = |fidelity| specs.iter().any(|s| s.power_model().fidelity() == fidelity);
+        assert!(covered(PowerFidelity::Analytical));
+        assert!(covered(PowerFidelity::Simulated));
+        assert!(covered(PowerFidelity::Measured));
+
+        for bits in [1u8, 2, 4, 8, 16] {
+            for sparsity in [0.0, 0.5, 0.9] {
+                // 96 x 96 weights: more than the per-layer sample cap.
+                let workload = ModelWorkload::extract(
+                    &models::single_gemm(96, 96, 8),
+                    &QuantConfig::uniform(BitWidth::new(bits)),
+                    &PruningConfig::new(sparsity).unwrap(),
+                    5,
+                )
+                .unwrap();
+                let layer = &workload.layers()[0];
+                for spec in &specs {
+                    let folded = weight_device_power(spec, layer, DataAwareness::Aware);
+                    let reference = per_sample_weight_power(spec, layer);
+                    assert_eq!(
+                        folded.milliwatts().to_bits(),
+                        reference.milliwatts().to_bits(),
+                        "{} at {bits} bits, sparsity {sparsity}",
+                        spec.name()
+                    );
+                }
+            }
+        }
     }
 }

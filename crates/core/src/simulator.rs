@@ -414,10 +414,8 @@ impl Simulator {
                 arch,
                 library,
                 link,
-                &hierarchy,
                 counts,
                 layer,
-                &placement.mapping,
                 &latency,
                 self.config.data_awareness,
             )?

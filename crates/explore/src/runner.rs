@@ -557,15 +557,15 @@ impl ArtifactStore {
     }
 }
 
-/// Estimated resident size of an extracted workload: its weight tensors
-/// dominate, so sum them plus a fixed per-layer overhead.
+/// Estimated resident size of an extracted workload: its sampled weight
+/// codebooks dominate, so sum them plus a fixed per-layer overhead.
 fn workload_bytes(workload: &ModelWorkload) -> u64 {
     let layers: u64 = workload
         .layers()
         .iter()
         .map(|layer| {
-            (std::mem::size_of_val(layer.weight_values())
-                + std::mem::size_of_val(layer.normalized_abs_values())) as u64
+            (std::mem::size_of_val(layer.weight_magnitudes())
+                + std::mem::size_of_val(layer.weight_codes())) as u64
                 + 256
         })
         .sum();
@@ -1342,7 +1342,7 @@ mod tests {
     use crate::cache::SimCache;
     use crate::session::ExploreSession;
     use crate::sink::VecSink;
-    use crate::spec::ArchFamily;
+    use crate::spec::{ArchFamily, WorkloadSpec};
 
     #[test]
     fn single_point_sweep_matches_direct_simulation() {
@@ -1693,6 +1693,18 @@ mod tests {
         assert_eq!(stats.entries, 0);
         assert_eq!(stats.bytes, 0);
         assert_eq!(stats.evictions, 3);
+    }
+
+    #[test]
+    fn a_resident_vgg8_workload_stays_under_150_kb() {
+        let store = ArtifactStore::shared(ArtifactBudget::default());
+        let spec = SweepSpec::new("vgg8-bytes").with_workload(vec![WorkloadSpec::Vgg8]);
+        let point = spec.expand().unwrap().remove(0);
+        simulate_point_shared(&store, &point).unwrap();
+        // One workload and one accelerator resident.
+        let stats = store.lock().unwrap().stats();
+        assert_eq!(stats.entries, 2);
+        assert!(stats.bytes < 150 * 1024, "{} bytes resident", stats.bytes);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use simphony::{DataAwareness, Result as SimResult, SimulationConfig};
 use simphony_arch::{generators, PtcArchitecture};
 use simphony_dataflow::DataflowStyle;
 use simphony_netlist::ArchParams;
-use simphony_onn::{models, ModelWorkload, PruningConfig, QuantConfig};
+use simphony_onn::{models, ModelWorkload, PruningConfig, QuantConfig, MAX_WEIGHT_BITS};
 use simphony_units::BitWidth;
 
 use crate::error::{ExploreError, Result};
@@ -400,8 +400,14 @@ impl SweepSpec {
                 ));
             }
         }
-        if self.bitwidth.contains(&0) {
-            return Err(ExploreError::invalid_spec("bitwidth must be at least 1"));
+        if let Some(bits) = self
+            .bitwidth
+            .iter()
+            .find(|&&bits| bits == 0 || u32::from(bits) > MAX_WEIGHT_BITS)
+        {
+            return Err(ExploreError::invalid_spec(format!(
+                "bitwidth must lie in 1..={MAX_WEIGHT_BITS}, got {bits}"
+            )));
         }
         if self.sparsity.iter().any(|s| !(0.0..1.0).contains(s)) {
             return Err(ExploreError::invalid_spec(
@@ -714,6 +720,24 @@ mod tests {
             .with_bitwidth(vec![0])
             .expand()
             .is_err());
+    }
+
+    #[test]
+    fn bitwidths_beyond_the_weight_code_width_are_rejected() {
+        assert!(SweepSpec::new("ok")
+            .with_bitwidth(vec![1, 16])
+            .validate()
+            .is_ok());
+        for bits in [17u8, 65, 255] {
+            let err = SweepSpec::new("wide")
+                .with_bitwidth(vec![8, bits])
+                .validate()
+                .expect_err("too wide");
+            assert!(matches!(err, ExploreError::InvalidSpec { .. }), "{err}");
+            let message = err.to_string();
+            assert!(message.contains("1..=16"), "{message}");
+            assert!(message.contains(&bits.to_string()), "{message}");
+        }
     }
 
     #[test]

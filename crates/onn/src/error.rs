@@ -49,6 +49,13 @@ pub enum OnnError {
         /// The offending value.
         value: f64,
     },
+    /// A weight precision is wider than workload extraction supports.
+    UnsupportedBitWidth {
+        /// The requested weight precision, in bits.
+        bits: u32,
+        /// The widest supported precision ([`MAX_WEIGHT_BITS`](crate::MAX_WEIGHT_BITS)).
+        max: u32,
+    },
 }
 
 impl fmt::Display for OnnError {
@@ -69,6 +76,12 @@ impl fmt::Display for OnnError {
             }
             OnnError::InvalidFraction { context, value } => {
                 write!(f, "{context} must be within [0, 1], got {value}")
+            }
+            OnnError::UnsupportedBitWidth { bits, max } => {
+                write!(
+                    f,
+                    "weight bit width {bits} is not supported (at most {max} bits)"
+                )
             }
         }
     }

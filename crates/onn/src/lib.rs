@@ -58,7 +58,7 @@ pub use prune::{magnitude_prune, PruningConfig};
 pub use quant::{quantize_symmetric, QuantConfig};
 pub use rng::SplitMix64;
 pub use tensor::Tensor;
-pub use workload::{LayerWorkload, ModelWorkload, WeightEncoding};
+pub use workload::{LayerWorkload, ModelWorkload, WeightEncoding, MAX_WEIGHT_BITS};
 
 #[cfg(test)]
 mod proptests {

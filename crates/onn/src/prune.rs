@@ -55,7 +55,8 @@ impl fmt::Display for PruningConfig {
 }
 
 /// Zeroes the smallest-magnitude entries of `values` until the requested
-/// fraction is zero. Returns the number of entries pruned by this call.
+/// fraction is zero; among equal magnitudes the lower index goes first.
+/// Returns the number of entries pruned by this call.
 ///
 /// # Examples
 ///
@@ -75,26 +76,87 @@ pub fn magnitude_prune(values: &mut [f32], config: &PruningConfig) -> usize {
         return 0;
     }
     let to_prune = target_zeros - already_zero;
-    // Find the magnitude threshold below which entries are dropped.
-    let mut magnitudes: Vec<(usize, f32)> = values
+    // Keys order entries by (magnitude, index): the bits of a non-negative
+    // float order like its value. No two keys are equal, so the `to_prune`
+    // smallest form one set, and selecting it in O(n) prunes exactly what a
+    // stable sort by magnitude would. (Quantised weights tie heavily.)
+    let mut keys: Vec<(u32, usize)> = values
         .iter()
         .enumerate()
         .filter(|(_, v)| **v != 0.0)
-        .map(|(i, v)| (i, v.abs()))
+        .map(|(i, v)| {
+            assert!(!v.is_nan(), "magnitude pruning needs non-NaN weights");
+            (v.abs().to_bits(), i)
+        })
         .collect();
-    magnitudes.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite magnitudes"));
-    let mut pruned = 0;
-    for (index, _) in magnitudes.into_iter().take(to_prune) {
+    keys.select_nth_unstable(to_prune - 1);
+    for &(_, index) in &keys[..to_prune] {
         values[index] = 0.0;
-        pruned += 1;
     }
-    pruned
+    to_prune
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::quant::quantize_symmetric;
     use crate::rng::SplitMix64;
+    use simphony_units::BitWidth;
+
+    /// The stable-sort pruning that the selection replaced: the reference
+    /// for which entries must be pruned.
+    fn sort_prune(values: &mut [f32], config: &PruningConfig) -> usize {
+        let target_zeros = (values.len() as f64 * config.sparsity()).round() as usize;
+        let already_zero = values.iter().filter(|v| **v == 0.0).count();
+        if target_zeros <= already_zero {
+            return 0;
+        }
+        let mut magnitudes: Vec<(usize, f32)> = values
+            .iter()
+            .enumerate()
+            .filter(|(_, v)| **v != 0.0)
+            .map(|(i, v)| (i, v.abs()))
+            .collect();
+        magnitudes.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite magnitudes"));
+        let mut pruned = 0;
+        for (index, _) in magnitudes.into_iter().take(target_zeros - already_zero) {
+            values[index] = 0.0;
+            pruned += 1;
+        }
+        pruned
+    }
+
+    #[test]
+    fn selection_prunes_exactly_what_the_stable_sort_pruned() {
+        // Quantised Gaussian weights, as workload extraction draws them: at
+        // low bit widths nearly every magnitude ties with another.
+        for bits in [1u8, 2, 4, 8] {
+            for sparsity in [0.25, 0.5, 0.75, 0.99] {
+                let config = PruningConfig::new(sparsity).unwrap();
+                for seed in 0..8u64 {
+                    let mut rng = SplitMix64::new(seed);
+                    let len = 1 + (rng.next_u64() % 3000) as usize;
+                    let values: Vec<f32> = (0..len)
+                        .map(|_| {
+                            let draw = rng.next_gaussian() as f32 * 0.5;
+                            quantize_symmetric(draw, BitWidth::new(bits))
+                        })
+                        .collect();
+                    let mut selected = values.clone();
+                    let mut sorted = values;
+                    let pruned = magnitude_prune(&mut selected, &config);
+                    assert_eq!(pruned, sort_prune(&mut sorted, &config));
+                    assert!(
+                        selected
+                            .iter()
+                            .zip(&sorted)
+                            .all(|(a, b)| a.to_bits() == b.to_bits()),
+                        "{bits} bits, sparsity {sparsity}, seed {seed}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn pruning_reaches_requested_sparsity() {

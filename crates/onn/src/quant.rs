@@ -90,9 +90,16 @@ impl fmt::Display for QuantConfig {
 /// assert!((q - 0.5).abs() < 1e-6 || (q - 0.0).abs() < 1e-6);
 /// ```
 pub fn quantize_symmetric(value: f32, bits: BitWidth) -> f32 {
-    let levels = (bits.levels() / 2).max(1) as f32;
+    let levels = quantizer_scale(bits);
     let clamped = value.clamp(-1.0, 1.0);
     (clamped * levels).round() / levels
+}
+
+/// The power of two `2^(bits-1)` (1 at one bit) that [`quantize_symmetric`]
+/// scales by: every quantised value is `k / scale` for an integer
+/// `k` in `-scale..=scale`, and dividing by a power of two is exact.
+pub(crate) fn quantizer_scale(bits: BitWidth) -> f32 {
+    (bits.levels() / 2).max(1) as f32
 }
 
 #[cfg(test)]

@@ -11,13 +11,20 @@ use crate::gemm::{lower_attention, lower_conv2d, lower_linear, GemmShape, Lowere
 use crate::layer::{LayerKind, LayerSpec};
 use crate::models::{Model, ModelInput};
 use crate::prune::{magnitude_prune, PruningConfig};
-use crate::quant::{quantize_symmetric, QuantConfig};
+use crate::quant::{quantize_symmetric, quantizer_scale, QuantConfig};
 use crate::rng::SplitMix64;
 
 /// Maximum number of weight values sampled per layer for data-aware power
-/// modeling. Energies are scaled by the true element count, so the cap only
-/// bounds memory, not the simulated workload size.
+/// modeling. Energies are scaled by the true element count, so the cap does
+/// not bound the simulated workload size. It bounds two costs per layer: the
+/// resident samples (one `u16` code each) and the data-aware power fold,
+/// which reads one table entry per sample on every simulated point.
 const VALUE_SAMPLE_CAP: usize = 8192;
+
+/// Widest weight precision [`ModelWorkload::extract`] supports. Each sampled
+/// weight is stored as a `u16` code, and a `b`-bit symmetric quantiser has
+/// `2^(b-1) + 1` distinct magnitudes, which fit a `u16` up to 16 bits.
+pub const MAX_WEIGHT_BITS: u32 = 16;
 
 /// How operand-A values are expressed for value-aware power modeling.
 ///
@@ -49,7 +56,16 @@ impl fmt::Display for WeightEncoding {
 }
 
 /// One GEMM workload extracted from a model layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// The sampled operand-A values are stored as a quantization-level codebook:
+/// the layer's distinct sampled magnitudes in ascending order, plus one `u16`
+/// code per sample, in sample order, indexing them. A `b`-bit weight has at
+/// most `2^(b-1) + 1` magnitudes (9 at 4 bits, 129 at 8 bits), so value-aware
+/// power models are evaluated once per level instead of once per sample.
+///
+/// Workloads are only built by [`ModelWorkload::extract`], which keeps every
+/// code within the codebook; there is deliberately no `Deserialize`.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LayerWorkload {
     name: String,
     kind: LayerKind,
@@ -60,8 +76,8 @@ pub struct LayerWorkload {
     input_bits: BitWidth,
     output_bits: BitWidth,
     sparsity: f64,
-    weight_values: Vec<f32>,
-    normalized_abs: Vec<f64>,
+    weight_magnitudes: Vec<f64>,
+    weight_codes: Vec<u16>,
     weight_elements: u64,
 }
 
@@ -111,9 +127,19 @@ impl LayerWorkload {
         self.sparsity
     }
 
-    /// Sampled operand-A values (quantised, pruned, in `[-1, 1]`).
-    pub fn weight_values(&self) -> &[f32] {
-        &self.weight_values
+    /// The distinct magnitudes of the sampled operand-A values (quantised,
+    /// pruned), normalised to `[0, 1]` and strictly ascending: the quantity
+    /// value-aware device power models consume. A pruned weight has
+    /// magnitude `0.0`.
+    pub fn weight_magnitudes(&self) -> &[f64] {
+        &self.weight_magnitudes
+    }
+
+    /// One code per sampled operand-A value, in sample order: the index of
+    /// the sample's magnitude in [`weight_magnitudes`](Self::weight_magnitudes).
+    /// There are `min(weight_elements, 8192)` samples.
+    pub fn weight_codes(&self) -> &[u16] {
+        &self.weight_codes
     }
 
     /// True number of operand-A elements (the samples are a subset).
@@ -147,14 +173,6 @@ impl LayerWorkload {
     /// Total data footprint (A + B + output).
     pub fn total_size(&self) -> DataSize {
         self.weight_size() + self.input_size() + self.output_size()
-    }
-
-    /// Sampled operand-A magnitudes normalised to `[0, 1]`, the quantity
-    /// value-aware device power models consume. Precomputed at extraction
-    /// time, so repeated energy evaluations of the same workload allocate
-    /// nothing.
-    pub fn normalized_abs_values(&self) -> &[f64] {
-        &self.normalized_abs
     }
 }
 
@@ -191,7 +209,7 @@ impl fmt::Display for LayerWorkload {
 /// assert!(workload.total_macs() > 100_000_000);
 /// # Ok::<(), simphony_onn::OnnError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ModelWorkload {
     model_name: String,
     layers: Vec<LayerWorkload>,
@@ -203,14 +221,22 @@ impl ModelWorkload {
     ///
     /// # Errors
     ///
-    /// Returns [`OnnError::EmptyWorkload`] when the model contains no GEMM
-    /// layers, and propagates layer-geometry errors.
+    /// Returns [`OnnError::UnsupportedBitWidth`] when the weight precision
+    /// exceeds [`MAX_WEIGHT_BITS`], [`OnnError::EmptyWorkload`] when the model
+    /// contains no GEMM layers, and propagates layer-geometry errors.
     pub fn extract(
         model: &Model,
         quant: &QuantConfig,
         prune: &PruningConfig,
         seed: u64,
     ) -> Result<Self> {
+        let bits = quant.weight_bits().bits();
+        if bits > MAX_WEIGHT_BITS {
+            return Err(OnnError::UnsupportedBitWidth {
+                bits,
+                max: MAX_WEIGHT_BITS,
+            });
+        }
         let mut layers = Vec::new();
         // Track the activation geometry as layers are traversed.
         let mut image_hw: Option<(usize, usize)> = None;
@@ -325,11 +351,7 @@ fn build_layer_workload(
 ) -> LayerWorkload {
     let true_elements = gemm.shape.operand_a_elements();
     let sample_count = (true_elements as usize).min(VALUE_SAMPLE_CAP);
-    let mut rng = SplitMix64::new(seed);
-    let mut values: Vec<f32> = (0..sample_count)
-        .map(|_| quantize_symmetric(rng.next_gaussian() as f32 * 0.5, quant.weight_bits()))
-        .collect();
-    magnitude_prune(&mut values, prune);
+    let values = sample_weights(sample_count, quant, prune, seed);
     let sparsity = if values.is_empty() {
         0.0
     } else {
@@ -341,7 +363,7 @@ fn build_layer_workload(
     } else {
         format!("{name}.{label}")
     };
-    let normalized_abs = values.iter().map(|v| f64::from(v.abs()).min(1.0)).collect();
+    let (weight_magnitudes, weight_codes) = weight_codebook(&values, quant.weight_bits());
     LayerWorkload {
         name,
         kind,
@@ -352,10 +374,53 @@ fn build_layer_workload(
         input_bits: quant.input_bits(),
         output_bits: quant.output_bits(),
         sparsity,
-        weight_values: values,
-        normalized_abs,
+        weight_magnitudes,
+        weight_codes,
         weight_elements: true_elements,
     }
+}
+
+/// A layer's sampled weights: seeded Gaussian draws, quantised, then
+/// magnitude-pruned.
+fn sample_weights(count: usize, quant: &QuantConfig, prune: &PruningConfig, seed: u64) -> Vec<f32> {
+    let mut rng = SplitMix64::new(seed);
+    let mut values: Vec<f32> = (0..count)
+        .map(|_| quantize_symmetric(rng.next_gaussian() as f32 * 0.5, quant.weight_bits()))
+        .collect();
+    magnitude_prune(&mut values, prune);
+    values
+}
+
+/// Splits quantised samples into their distinct magnitudes, ascending, and
+/// one code per sample indexing them.
+///
+/// Every `bits`-bit quantised value is `k / scale` with `scale` a power of
+/// two, so `|v| · scale` is exactly the integer level `|k|`, and
+/// `|k| / scale` is exactly `|v|`. Linear passes over the samples and over
+/// the at most `scale + 1` levels rank the levels present; no sort. `bits`
+/// must be at most [`MAX_WEIGHT_BITS`], so that every level fits a `u16`.
+fn weight_codebook(values: &[f32], bits: BitWidth) -> (Vec<f64>, Vec<u16>) {
+    const ABSENT: u16 = u16::MAX;
+    let scale = quantizer_scale(bits);
+    let mut codes: Vec<u16> = values.iter().map(|v| (v.abs() * scale) as u16).collect();
+    let mut rank = vec![ABSENT; scale as usize + 1];
+    for &level in &codes {
+        rank[usize::from(level)] = 0;
+    }
+    let mut magnitudes = Vec::new();
+    for (level, slot) in rank.iter_mut().enumerate() {
+        if *slot != ABSENT {
+            *slot = magnitudes.len() as u16;
+            magnitudes.push(f64::from(level as f32 / scale));
+        }
+    }
+    // With every level present, each level already is its own rank.
+    if magnitudes.len() < rank.len() {
+        for code in &mut codes {
+            *code = rank[usize::from(*code)];
+        }
+    }
+    (magnitudes, codes)
 }
 
 #[cfg(test)]
@@ -419,8 +484,13 @@ mod tests {
         .expect("extraction succeeds");
         let layer = &sparse.layers()[0];
         assert!((layer.sparsity() - 0.6).abs() < 0.02);
-        let zeros = layer.weight_values().iter().filter(|v| **v == 0.0).count();
-        assert!(zeros as f64 / layer.weight_values().len() as f64 > 0.55);
+        let magnitudes = layer.weight_magnitudes();
+        let zeros = layer
+            .weight_codes()
+            .iter()
+            .filter(|&&code| magnitudes[usize::from(code)] == 0.0)
+            .count();
+        assert!(zeros as f64 / layer.weight_codes().len() as f64 > 0.55);
     }
 
     #[test]
@@ -435,8 +505,85 @@ mod tests {
     fn value_samples_are_capped_but_true_count_is_kept() {
         let workload = dense_workload(&bert_base(196));
         let qkv = &workload.layers()[0];
-        assert!(qkv.weight_values().len() <= VALUE_SAMPLE_CAP);
         assert_eq!(qkv.weight_elements(), (3 * 768 * 768) as u64);
+        for model in [bert_base(196), vgg8_cifar10()] {
+            for layer in dense_workload(&model).layers() {
+                let expected = (layer.weight_elements() as usize).min(VALUE_SAMPLE_CAP);
+                assert_eq!(layer.weight_codes().len(), expected, "{}", layer.name());
+            }
+        }
+    }
+
+    #[test]
+    fn each_layer_has_at_most_one_magnitude_per_quantization_level() {
+        for bits in [1u8, 2, 4, 8, 16] {
+            for sparsity in [0.0, 0.5, 0.9] {
+                let workload = ModelWorkload::extract(
+                    &vgg8_cifar10(),
+                    &QuantConfig::uniform(BitWidth::new(bits)),
+                    &PruningConfig::new(sparsity).expect("valid"),
+                    11,
+                )
+                .expect("extraction succeeds");
+                let bound = (1usize << (bits - 1)) + 1;
+                for layer in workload.layers() {
+                    let magnitudes = layer.weight_magnitudes();
+                    assert!(
+                        magnitudes.len() <= bound,
+                        "{bits} bits: {}",
+                        magnitudes.len()
+                    );
+                    assert!(magnitudes.windows(2).all(|w| w[0] < w[1]));
+                    assert!(layer
+                        .weight_codes()
+                        .iter()
+                        .all(|&code| usize::from(code) < magnitudes.len()));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn codebook_reproduces_every_sampled_magnitude_bit_for_bit() {
+        // The per-sample normalisation the codebook replaces.
+        let old_magnitude = |v: f32| f64::from(v.abs()).min(1.0);
+        for bits in [1u8, 2, 4, 8, 16] {
+            let quant = QuantConfig::uniform(BitWidth::new(bits));
+            for sparsity in [0.0, 0.5, 0.9] {
+                let prune = PruningConfig::new(sparsity).expect("valid");
+                for seed in 0..4 {
+                    let values = sample_weights(VALUE_SAMPLE_CAP, &quant, &prune, seed);
+                    let (magnitudes, codes) = weight_codebook(&values, quant.weight_bits());
+                    assert_eq!(codes.len(), values.len());
+                    for (&v, &code) in values.iter().zip(&codes) {
+                        assert_eq!(
+                            magnitudes[usize::from(code)].to_bits(),
+                            old_magnitude(v).to_bits(),
+                            "{bits} bits, sparsity {sparsity}, seed {seed}, value {v}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn weights_wider_than_the_code_width_are_a_typed_error() {
+        let result = ModelWorkload::extract(
+            &single_gemm(8, 8, 8),
+            &QuantConfig::uniform(BitWidth::new(17)),
+            &PruningConfig::dense(),
+            1,
+        );
+        let err = result.expect_err("17-bit weights are rejected");
+        assert_eq!(
+            err,
+            OnnError::UnsupportedBitWidth {
+                bits: 17,
+                max: MAX_WEIGHT_BITS
+            }
+        );
+        assert!(err.to_string().contains("at most 16 bits"), "{err}");
     }
 
     #[test]
@@ -461,7 +608,7 @@ mod tests {
         let workload = dense_workload(&vgg8_cifar10());
         for layer in workload.layers() {
             assert!(layer
-                .normalized_abs_values()
+                .weight_magnitudes()
                 .iter()
                 .all(|v| (0.0..=1.0).contains(v)));
         }

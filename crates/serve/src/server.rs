@@ -419,9 +419,11 @@ fn run_request(
     spec: &SweepSpec,
     out: &mut BufWriter<TcpStream>,
 ) -> io::Result<()> {
+    // A `run` spec is the whole request, as its flags are for the CLI's
+    // `run`: one that fails validation is a usage error.
     let points = match spec.expand() {
         Ok(points) => points,
-        Err(e) => return send_frame(out, &protocol::error_frame(EXIT_HARD, &e.to_string())),
+        Err(e) => return send_frame(out, &protocol::error_frame(EXIT_USAGE, &e.to_string())),
     };
     if points.len() != 1 {
         return send_frame(

@@ -9,9 +9,9 @@ use std::time::{Duration, Instant};
 
 use simphony_explore::{
     pareto_front, read_jsonl, simulate_point, write_jsonl, ExploreSession, JsonlSink, Objective,
-    PackedSegmentCache, SweepSpec,
+    PackedSegmentCache, RetryPolicy, SweepSpec,
 };
-use simphony_serve::{check, request, ServeConfig, Server};
+use simphony_serve::{check, request, Client, ServeConfig, Server};
 use simphony_traffic::{run_serving_with, ServingSpec};
 
 const TIMEOUT: Duration = Duration::from_secs(120);
@@ -430,6 +430,36 @@ fn malformed_requests_are_usage_errors_and_do_not_kill_the_connection() {
     }
     // The server is still healthy after rejecting garbage.
     check(&addr, Duration::from_secs(5)).expect("health check succeeds");
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn an_unsupported_bitwidth_is_a_usage_error_and_the_connection_lives_on() {
+    let server = Server::start(ephemeral_config(), None).expect("server starts");
+    let addr = server.local_addr().to_string();
+    // No reconnects: the ping must be answered on the same connection.
+    let mut client = Client::connect(&addr, TIMEOUT)
+        .expect("client connects")
+        .reconnect_policy(RetryPolicy::none());
+
+    let spec = SweepSpec::new("too-wide").with_bitwidth(vec![65]);
+    let line = format!(
+        "{{\"kind\":\"run\",\"spec\":{}}}",
+        serde_json::to_string(&spec).expect("spec serializes"),
+    );
+    let lines = client.send(&line).expect("run request round-trips");
+    assert_eq!(lines.len(), 1, "{lines:?}");
+    assert!(lines[0].starts_with("{\"frame\":\"error\""), "{}", lines[0]);
+    assert_eq!(frame_field_u64(&lines[0], &["exit_code"]), 2);
+    assert!(lines[0].contains("1..=16"), "{}", lines[0]);
+
+    let pong = client
+        .send("{\"kind\":\"ping\"}")
+        .expect("ping round-trips");
+    assert_eq!(pong.len(), 1, "{pong:?}");
+    assert!(pong[0].starts_with("{\"frame\":\"pong\""), "{}", pong[0]);
 
     server.shutdown();
     server.join();

@@ -15,6 +15,7 @@ use serde::{Deserialize, Serialize};
 use simphony::DataAwareness;
 use simphony_dataflow::DataflowStyle;
 use simphony_explore::{ArchFamily, ExploreError, Result, WorkloadSpec};
+use simphony_onn::MAX_WEIGHT_BITS;
 
 /// One accelerator variant in the fleet: the hardware axes of a sweep point,
 /// without workload or power-model settings (those come from the request
@@ -302,6 +303,12 @@ impl ServingSpec {
                     class.sparsity
                 ));
             }
+            if class.bits == 0 || u32::from(class.bits) > MAX_WEIGHT_BITS {
+                return fail(format!(
+                    "request class #{i} has bitwidth {} outside 1..={MAX_WEIGHT_BITS}",
+                    class.bits
+                ));
+            }
         }
         for (template, value) in self.fleet.iter().flat_map(|t| {
             [
@@ -486,6 +493,11 @@ mod tests {
         let mut spec = ServingSpec::new("bad-weight");
         spec.classes[0].weight = 0.0;
         assert!(spec.validate().is_err());
+        for bits in [0, 17, 65] {
+            let mut spec = ServingSpec::new("bad-bits");
+            spec.classes[0].bits = bits;
+            assert!(spec.validate().is_err(), "{bits} bits");
+        }
         // Closed loop: fractional client counts must round to >= 1, and a
         // bounded queue needs a positive think time to avoid livelock.
         let mut spec = ServingSpec::new("zero-clients").with_offered_load(vec![0.2]);
