@@ -546,8 +546,8 @@ mod tests {
         );
     }
 
-    /// The data-aware mean as it was computed before the fold: one
-    /// `power_at` call per sample, summed in sample order.
+    /// Reference for the fold: one `power_at` call per sample, summed in
+    /// sample order.
     fn per_sample_weight_power(spec: &DeviceSpec, workload: &LayerWorkload) -> Power {
         let codes = workload.weight_codes();
         if codes.is_empty() {

@@ -103,8 +103,7 @@ mod tests {
     use crate::rng::SplitMix64;
     use simphony_units::BitWidth;
 
-    /// The stable-sort pruning that the selection replaced: the reference
-    /// for which entries must be pruned.
+    /// Reference pruning: a stable sort by magnitude, smallest pruned first.
     fn sort_prune(values: &mut [f32], config: &PruningConfig) -> usize {
         let target_zeros = (values.len() as f64 * config.sparsity()).round() as usize;
         let already_zero = values.iter().filter(|v| **v == 0.0).count();

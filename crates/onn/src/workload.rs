@@ -545,7 +545,7 @@ mod tests {
 
     #[test]
     fn codebook_reproduces_every_sampled_magnitude_bit_for_bit() {
-        // The per-sample normalisation the codebook replaces.
+        // A sample's magnitude, normalised one sample at a time.
         let old_magnitude = |v: f32| f64::from(v.abs()).min(1.0);
         for bits in [1u8, 2, 4, 8, 16] {
             let quant = QuantConfig::uniform(BitWidth::new(bits));
