@@ -7,7 +7,7 @@
 //!   validation GEMM, VGG-8 and BERT-Base;
 //! * `run_sweep/*` — the sweep engine end to end: cold (no result cache, so
 //!   artifact extraction and generation are on the clock) and warm (every
-//!   point served from a populated `SimCache`).
+//!   point served from a populated `DirCache`).
 //!
 //! The committed `BENCH_sweep.json` trajectory is produced by the
 //! `bench_sweep` binary, which runs the same fig9-style sweep; see
@@ -21,7 +21,7 @@ use simphony_bench::{
     default_params, fig9_style_sweep, lightening_transformer_params, tempo_accelerator,
     validation_gemm_workload, SEED,
 };
-use simphony_explore::{ExploreSession, SimCache};
+use simphony_explore::{DirCache, ExploreSession};
 use simphony_onn::{models, ModelWorkload, PruningConfig, QuantConfig};
 use simphony_units::BitWidth;
 
@@ -79,7 +79,7 @@ fn bench_run_sweep(c: &mut Criterion) {
     });
 
     let dir = std::env::temp_dir().join(format!("simphony-bench-pipeline-{}", std::process::id()));
-    let cache = SimCache::open(&dir).expect("cache opens");
+    let cache = DirCache::open(&dir).expect("cache opens");
     ExploreSession::new(&spec)
         .cache(cache.clone())
         .run_collect()

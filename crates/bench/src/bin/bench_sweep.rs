@@ -13,33 +13,26 @@
 //! * `shared_warm`/`sharded_warm`/`packed_warm` — the session re-run against
 //!   a populated cache of each [`CacheBackend`] flavour, so every point is a
 //!   cache hit; the spread between them is the per-backend lookup cost;
-//! * `streaming_chunk16` — the session in shards of 16 points with no cache,
-//!   pipeline **off**: the strictly-alternating bounded-memory path. Its gap
-//!   to `shared_cold` is the price of sharding (per-shard artifact-store
+//! * `pipelined_cold`/`pipelined_warm` — the session in shards of 16 points
+//!   with no cache (cold) or a populated one (warm), on the two-stage
+//!   pipeline every multi-shard sweep runs: shard N+1 simulates while
+//!   shard N persists, and warm cache lookups run as parallel batches. The
+//!   gap to `shared_cold` is the price of sharding (per-shard artifact-store
 //!   refresh + sink flushes);
-//! * `pipelined_cold`/`pipelined_warm` — the same 16-point-shard sweep with
-//!   the two-stage pipeline on (the default): shard N+1 simulates while
-//!   shard N persists, and warm cache lookups run as parallel batches;
 //! * `retry_overhead_clean` — `pipelined_cold` with a 3-attempt
 //!   [`RetryPolicy`] attached: the clean-path price of wrapping every cache
 //!   put and sink flush in the retry machinery when nothing ever fails
 //!   (should be indistinguishable from `pipelined_cold`);
-//! * `coexec_2proc_cold` — the same sweep co-executed by two workers through
-//!   a shard-lease directory: the primary session plus a second in-process
-//!   [`join_sweep`] worker standing in for a second process (identical
-//!   protocol: same manifest, leases and part files, plus the merge pass);
 //! * `dist_2worker_cold` — the same sweep distributed over two resident
 //!   worker daemons on loopback (`sweep --workers`): shard ranges out over
-//!   TCP, part payloads back, merged in expansion order. Must beat
-//!   `coexec_2proc_cold` — same worker count, but no fsynced lease files,
-//!   no part-file re-reads and no polling on the claim path (asserted);
+//!   TCP, part payloads back, merged in expansion order;
 //! * `dist_worker_kill_recover` — the distributed sweep with one of the two
 //!   workers shut down mid-run: re-dispatch, reconnect refusal and the
 //!   survivor absorbing the queue, end to end;
-//! * `slow_sink_serial`/`slow_sink_overlap` — the cold sharded sweep against
-//!   a sink whose per-shard flush costs a fixed sleep (a stand-in for a slow
-//!   filesystem): serially the sweep pays every flush in full, pipelined all
-//!   but the last flush hide under the next shard's compute;
+//! * `slow_sink_overlap` — the cold sharded sweep against a sink whose
+//!   per-shard flush costs a fixed sleep (a stand-in for a slow filesystem):
+//!   all but the last flush hide under the next shard's compute, so the
+//!   sweep pays about one flush, not one per shard;
 //! * `pareto_100k` — 2-objective Pareto extraction over 100 000 synthetic
 //!   records: the sort-based O(n log n) sweep (the old pairwise filter took
 //!   seconds at this size);
@@ -69,9 +62,8 @@ use simphony_onn::SplitMix64;
 
 use simphony_explore::StreamOptions;
 use simphony_explore::{
-    join_sweep, pareto_front, simulate_point, CacheBackend, DirCache, ExploreSession, LeaseConfig,
-    Objective, PackedSegmentCache, RecordSink, RetryPolicy, ShardedDirCache, SweepPoint,
-    SweepRecord, VecSink,
+    pareto_front, simulate_point, CacheBackend, DirCache, ExploreSession, Objective,
+    PackedSegmentCache, RecordSink, RetryPolicy, ShardedDirCache, SweepPoint, SweepRecord, VecSink,
 };
 use simphony_serve::{distribute_sweep, request, Client, DistConfig, ServeConfig, Server};
 use simphony_traffic::{
@@ -192,23 +184,10 @@ fn main() {
     });
     eprintln!("session, cold (no cache):              {shared_cold_ms:.1} ms");
 
-    let streaming_chunk16_ms = time_ms(|| {
-        let mut sink = VecSink::new();
-        ExploreSession::new(&spec)
-            .chunk_size(16)
-            .pipelined(false)
-            .sink(&mut sink)
-            .run()
-            .expect("streaming sweep runs");
-        assert_eq!(sink.records().len(), 64, "streaming covers every point");
-    });
-    eprintln!("session, 16-point shards (serial):     {streaming_chunk16_ms:.1} ms");
-
     let pipelined_cold_ms = time_ms(|| {
         let mut sink = VecSink::new();
         ExploreSession::new(&spec)
             .chunk_size(16)
-            .pipelined(true)
             .sink(&mut sink)
             .run()
             .expect("pipelined sweep runs");
@@ -222,7 +201,6 @@ fn main() {
         let mut sink = VecSink::new();
         ExploreSession::new(&spec)
             .chunk_size(16)
-            .pipelined(true)
             .retry(RetryPolicy::new(3))
             .sink(&mut sink)
             .run()
@@ -231,53 +209,11 @@ fn main() {
     });
     eprintln!("session, pipelined + idle retries:     {retry_overhead_clean_ms:.1} ms");
 
-    // Two workers co-executing through a lease directory: the primary session
-    // plus an in-process `join_sweep` worker (the protocol is identical to a
-    // second OS process — manifest, leases, fsynced part files, merge pass).
-    let coexec_reps = std::sync::atomic::AtomicUsize::new(0);
-    let coexec_2proc_cold_ms = time_ms(|| {
-        let rep = coexec_reps.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!(
-            "simphony-bench-coexec-{}-{rep}",
-            std::process::id()
-        ));
-        let lease_config = || LeaseConfig::default().poll_ms(1);
-        let joiner = {
-            let spec = spec.clone();
-            let dir = dir.clone();
-            std::thread::spawn(move || {
-                join_sweep(
-                    &spec,
-                    None,
-                    dir,
-                    lease_config().owner("bench-joiner"),
-                    RetryPolicy::none(),
-                    &mut |_| {},
-                )
-                .expect("joiner worker runs")
-            })
-        };
-        let mut sink = VecSink::new();
-        ExploreSession::new(&spec)
-            .chunk_size(16)
-            .keep_going()
-            .coexecute(&dir)
-            .lease_config(lease_config().owner("bench-primary"))
-            .sink(&mut sink)
-            .run()
-            .expect("co-executed sweep runs");
-        joiner.join().expect("joiner thread joins");
-        assert_eq!(sink.records().len(), 64, "co-execution covers every point");
-        std::fs::remove_dir_all(&dir).ok();
-    });
-    eprintln!("session, 2-worker co-execution (cold): {coexec_2proc_cold_ms:.1} ms");
-
     // The same sweep distributed over two resident worker daemons on
     // loopback: shard ranges out over TCP, part payloads back, merged in
     // expansion order. The fleet persists across repetitions (that is the
     // deployment model — workers are long-running daemons), so the timed
-    // body is dispatch + remote compute + merge, with no lease-file fsyncs
-    // or part-file re-reads on the critical path.
+    // body is dispatch + remote compute + merge.
     let dist_fleet: Vec<Server> = (0..2)
         .map(|_| {
             Server::start(
@@ -403,7 +339,6 @@ fn main() {
             let outcome = ExploreSession::new(&spec)
                 .cache(DirCache::open(&dir).expect("cache opens"))
                 .chunk_size(16)
-                .pipelined(true)
                 .sink(&mut sink)
                 .run()
                 .expect("warm pipelined sweep runs");
@@ -414,11 +349,10 @@ fn main() {
     };
     eprintln!("session, warm 16-pt shards (pipelined): {pipelined_warm_ms:.1} ms");
 
-    // Slow-sink overlap: every shard flush costs a fixed sleep. Serially the
-    // sweep pays all four flushes end to end; pipelined, each flush (except
-    // the last) hides under the next shard's simulation.
+    // Slow-sink overlap: every shard flush costs a fixed sleep, and each
+    // flush (except the last) hides under the next shard's simulation.
     const SLOW_FLUSH_MS: u64 = 5;
-    let slow_sink_run = |chunk: usize, pipelined: bool| {
+    let slow_sink_run = |chunk: usize| {
         time_ms(|| {
             let mut sink = SlowSink {
                 accepted: 0,
@@ -426,25 +360,18 @@ fn main() {
             };
             ExploreSession::new(&spec)
                 .chunk_size(chunk)
-                .pipelined(pipelined)
                 .sink(&mut sink)
                 .run()
                 .expect("slow-sink sweep runs");
             assert_eq!(sink.accepted, 64, "slow sink saw every record");
         })
     };
-    let slow_sink_serial_ms = slow_sink_run(16, false);
-    let slow_sink_overlap_ms = slow_sink_run(16, true);
-    eprintln!(
-        "slow sink ({SLOW_FLUSH_MS} ms/flush, 4 shards): serial {slow_sink_serial_ms:.1} ms, \
-         pipelined {slow_sink_overlap_ms:.1} ms"
-    );
+    let slow_sink_overlap_ms = slow_sink_run(16);
+    eprintln!("slow sink ({SLOW_FLUSH_MS} ms/flush, 4 shards):   {slow_sink_overlap_ms:.1} ms");
     // The overlap win grows with shard count: more flushes to hide.
-    let slow_sink_serial_chunk8_ms = slow_sink_run(8, false);
-    let slow_sink_overlap_chunk8_ms = slow_sink_run(8, true);
+    let slow_sink_overlap_chunk8_ms = slow_sink_run(8);
     eprintln!(
-        "slow sink ({SLOW_FLUSH_MS} ms/flush, 8 shards): serial {slow_sink_serial_chunk8_ms:.1} ms, \
-         pipelined {slow_sink_overlap_chunk8_ms:.1} ms"
+        "slow sink ({SLOW_FLUSH_MS} ms/flush, 8 shards):   {slow_sink_overlap_chunk8_ms:.1} ms"
     );
 
     // 2-objective Pareto extraction at 100k records: the sort-based sweep.
@@ -600,20 +527,11 @@ fn main() {
          (cold {serve_cold_run_ms:.2} ms, warm {serve_warm_request_ms:.2} ms)"
     );
 
-    let dist_speedup = coexec_2proc_cold_ms / dist_2worker_cold_ms;
-    eprintln!("2-worker distribution vs co-execution:  {dist_speedup:.2}x");
-    assert!(
-        dist_2worker_cold_ms < coexec_2proc_cold_ms,
-        "socket-fed distribution must beat lease-file co-execution at the same worker \
-         count (dist {dist_2worker_cold_ms:.2} ms, coexec {coexec_2proc_cold_ms:.2} ms): \
-         no fsynced lease files, no part-file re-reads, no polling on the claim path"
-    );
-
     let speedup = per_point_ms / shared_cold_ms;
     eprintln!("cold-cache speedup vs per-point engine: {speedup:.2}x");
 
     let json = format!(
-        "{{\n  \"sweep\": \"{name}\",\n  \"points\": {points},\n  \"distinct_workloads\": {distinct_workloads},\n  \"distinct_architectures\": {distinct_architectures},\n  \"reps\": {reps},\n  \"per_point_cold_ms\": {per_point_ms:.3},\n  \"shared_cold_ms\": {shared_cold_ms:.3},\n  \"streaming_chunk16_ms\": {streaming_chunk16_ms:.3},\n  \"pipelined_cold_ms\": {pipelined_cold_ms:.3},\n  \"retry_overhead_clean_ms\": {retry_overhead_clean_ms:.3},\n  \"coexec_2proc_cold_ms\": {coexec_2proc_cold_ms:.3},\n  \"dist_2worker_cold_ms\": {dist_2worker_cold_ms:.3},\n  \"dist_worker_kill_recover_ms\": {dist_worker_kill_recover_ms:.3},\n  \"shared_warm_ms\": {shared_warm_ms:.3},\n  \"sharded_warm_ms\": {sharded_warm_ms:.3},\n  \"packed_warm_ms\": {packed_warm_ms:.3},\n  \"pipelined_warm_ms\": {pipelined_warm_ms:.3},\n  \"slow_sink_flush_ms\": {SLOW_FLUSH_MS},\n  \"slow_sink_serial_ms\": {slow_sink_serial_ms:.3},\n  \"slow_sink_overlap_ms\": {slow_sink_overlap_ms:.3},\n  \"slow_sink_serial_chunk8_ms\": {slow_sink_serial_chunk8_ms:.3},\n  \"slow_sink_overlap_chunk8_ms\": {slow_sink_overlap_chunk8_ms:.3},\n  \"pareto_100k_ms\": {pareto_100k_ms:.3},\n  \"serve_sim_10k_reqs_ms\": {serve_sim_10k_reqs_ms:.3},\n  \"serve_sweep_cold_ms\": {serve_sweep_cold_ms:.3},\n  \"serve_cold_run_ms\": {serve_cold_run_ms:.3},\n  \"serve_warm_request_ms\": {serve_warm_request_ms:.3},\n  \"serve_warm_speedup\": {serve_warm_speedup:.3},\n  \"serve_batched_sweep_ms\": {serve_batched_sweep_ms:.3},\n  \"cold_speedup\": {speedup:.3}\n}}\n",
+        "{{\n  \"sweep\": \"{name}\",\n  \"points\": {points},\n  \"distinct_workloads\": {distinct_workloads},\n  \"distinct_architectures\": {distinct_architectures},\n  \"reps\": {reps},\n  \"per_point_cold_ms\": {per_point_ms:.3},\n  \"shared_cold_ms\": {shared_cold_ms:.3},\n  \"pipelined_cold_ms\": {pipelined_cold_ms:.3},\n  \"retry_overhead_clean_ms\": {retry_overhead_clean_ms:.3},\n  \"dist_2worker_cold_ms\": {dist_2worker_cold_ms:.3},\n  \"dist_worker_kill_recover_ms\": {dist_worker_kill_recover_ms:.3},\n  \"shared_warm_ms\": {shared_warm_ms:.3},\n  \"sharded_warm_ms\": {sharded_warm_ms:.3},\n  \"packed_warm_ms\": {packed_warm_ms:.3},\n  \"pipelined_warm_ms\": {pipelined_warm_ms:.3},\n  \"slow_sink_flush_ms\": {SLOW_FLUSH_MS},\n  \"slow_sink_overlap_ms\": {slow_sink_overlap_ms:.3},\n  \"slow_sink_overlap_chunk8_ms\": {slow_sink_overlap_chunk8_ms:.3},\n  \"pareto_100k_ms\": {pareto_100k_ms:.3},\n  \"serve_sim_10k_reqs_ms\": {serve_sim_10k_reqs_ms:.3},\n  \"serve_sweep_cold_ms\": {serve_sweep_cold_ms:.3},\n  \"serve_cold_run_ms\": {serve_cold_run_ms:.3},\n  \"serve_warm_request_ms\": {serve_warm_request_ms:.3},\n  \"serve_warm_speedup\": {serve_warm_speedup:.3},\n  \"serve_batched_sweep_ms\": {serve_batched_sweep_ms:.3},\n  \"cold_speedup\": {speedup:.3}\n}}\n",
         name = spec.name,
         points = points.len(),
         reps = REPS,

@@ -6,17 +6,13 @@
 //!   with result caching (`--cache` + `--backend dir|sharded|packed`) and
 //!   JSON/CSV/JSONL outputs; `--chunk-size` streams the sweep in shards
 //!   (bounded memory, per-shard flushes and progress — shard N+1 simulates
-//!   while shard N persists, unless `--no-pipeline` disables the overlap),
+//!   while shard N persists),
 //!   `--keep-going` records failing points instead of aborting, and
 //!   `--checkpoint` records per-shard outcomes so an interrupted sweep can
 //!   be resumed;
 //! * `resume` — continue an interrupted `sweep --checkpoint` run: completed
 //!   shards are skipped, recorded failures are not re-attempted, and a
 //!   `--jsonl` output is truncated to its durable prefix and appended to;
-//! * `join` — attach this process as a worker to a co-executed sweep
-//!   (`sweep --lease-dir`): claims shards through the shared lease
-//!   directory, re-claims stale leases of dead workers, and publishes
-//!   computed shards as part files for the primary to merge;
 //! * `cache` — maintenance verbs: `cache stats` (entry count, bytes,
 //!   hit/miss of the last checkpointed session) and `cache migrate`
 //!   (round-trip a cache between backends with content-key verification);
@@ -58,11 +54,11 @@ use std::sync::Arc;
 use clap::{Arg, ArgAction, Command};
 
 use simphony_explore::{
-    join_sweep, migrate_cache, pareto_front, read_records, read_records_as, to_csv, write_json,
-    ArchFamily, BackendKind, CacheBackend, Checkpoint, CheckpointHeader, CsvRecord, CsvSink,
-    ExploreError, ExploreSession, FaultInjector, FaultPlan, FaultyCache, FaultySink, JsonFileSink,
-    JsonlSink, LeaseConfig, MultiSink, Objective, RetryPolicy, ShardProgress, StreamOptions,
-    StreamOutcome, SweepSpec, VecSink, WorkloadSpec,
+    migrate_cache, pareto_front, read_records, read_records_as, to_csv, write_json, ArchFamily,
+    BackendKind, CacheBackend, Checkpoint, CheckpointHeader, CsvRecord, CsvSink, ExploreError,
+    ExploreSession, FaultInjector, FaultPlan, FaultyCache, FaultySink, JsonFileSink, JsonlSink,
+    MultiSink, Objective, RetryPolicy, ShardProgress, StreamOptions, StreamOutcome, SweepSpec,
+    VecSink, WorkloadSpec,
 };
 use simphony_serve::{
     distribute_sweep, DistConfig, ServeConfig, Server, EXIT_USAGE, PROTOCOL_VERSION,
@@ -113,29 +109,6 @@ fn fault_plan_arg() -> Arg {
              transient-error rate plus exact-op faults) into the cache and \
              output writes — for chaos-testing failure handling, see \
              EXPERIMENTS.md",
-        )
-}
-
-fn lease_timeout_arg() -> Arg {
-    Arg::new("lease-timeout")
-        .long("lease-timeout")
-        .value_name("MS")
-        .default_value("10000")
-        .help(
-            "Age in milliseconds past which another worker's shard lease \
-             counts as stale and is re-claimed (owners renew every quarter \
-             of this)",
-        )
-}
-
-fn no_pipeline_arg() -> Arg {
-    Arg::new("no-pipeline")
-        .long("no-pipeline")
-        .action(ArgAction::SetTrue)
-        .help(
-            "Run shards strictly serially instead of overlapping simulation \
-             with cache/output/checkpoint I/O on a writer thread (output is \
-             byte-identical either way)",
         )
 }
 
@@ -211,17 +184,6 @@ fn cli() -> Command {
                         ),
                 )
                 .arg(
-                    Arg::new("lease-dir")
-                        .long("lease-dir")
-                        .value_name("DIR")
-                        .help(
-                            "Co-execute the sweep through this shared lease directory: \
-                             other processes attach with `join`, this one merges their \
-                             published shards into the outputs (requires --keep-going)",
-                        ),
-                )
-                .arg(lease_timeout_arg())
-                .arg(
                     Arg::new("workers")
                         .long("workers")
                         .value_name("ADDR,ADDR,...")
@@ -247,51 +209,11 @@ fn cli() -> Command {
                 )
                 .arg(retries_arg())
                 .arg(fault_plan_arg())
-                .arg(no_pipeline_arg())
                 .arg(
                     Arg::new("quiet")
                         .long("quiet")
                         .action(ArgAction::SetTrue)
                         .help("Suppress the per-sweep summary and per-shard progress"),
-                ),
-        )
-        .subcommand(
-            Command::new("join")
-                .about("Attach this process as a worker to a co-executed sweep")
-                .arg(
-                    Arg::new("spec")
-                        .long("spec")
-                        .value_name("FILE")
-                        .required(true)
-                        .help("Path to the SweepSpec JSON file of the co-executed sweep"),
-                )
-                .arg(
-                    Arg::new("lease-dir")
-                        .long("lease-dir")
-                        .value_name("DIR")
-                        .required(true)
-                        .help(
-                            "Lease directory of the primary (`sweep --lease-dir`); this \
-                             worker claims shards there and publishes computed parts",
-                        ),
-                )
-                .arg(
-                    Arg::new("cache")
-                        .long("cache")
-                        .value_name("DIR")
-                        .help("Content-hash result cache directory (created if missing)"),
-                )
-                .arg(backend_arg(
-                    "Cache backend: dir, sharded, packed, or auto (detect from the directory)",
-                ))
-                .arg(lease_timeout_arg())
-                .arg(retries_arg())
-                .arg(fault_plan_arg())
-                .arg(
-                    Arg::new("quiet")
-                        .long("quiet")
-                        .action(ArgAction::SetTrue)
-                        .help("Suppress the per-join summary and per-shard progress"),
                 ),
         )
         .subcommand(
@@ -326,7 +248,6 @@ fn cli() -> Command {
                 ))
                 .arg(retries_arg())
                 .arg(fault_plan_arg())
-                .arg(no_pipeline_arg())
                 .arg(
                     Arg::new("quiet")
                         .long("quiet")
@@ -684,12 +605,11 @@ const EXIT_RECORDED_FAILURES: u8 = 3;
 
 fn main() -> ExitCode {
     let matches = cli().get_matches();
-    // `sweep`, `join` and `resume` pick their own success exit code (a
+    // `sweep` and `resume` pick their own success exit code (a
     // completed sweep with ledgered failures exits 3); everything else maps
     // Ok onto 0.
     let result = match matches.subcommand() {
         Some(("sweep", sub)) => cmd_sweep(sub),
-        Some(("join", sub)) => cmd_join(sub),
         Some(("resume", sub)) => cmd_resume(sub),
         Some(("cache", sub)) => match sub.subcommand() {
             Some(("stats", sub)) => cmd_cache_stats(sub).map(|()| ExitCode::SUCCESS),
@@ -945,9 +865,6 @@ fn cmd_sweep(matches: &clap::ArgMatches) -> Result<ExitCode, ExploreError> {
     if matches.get_flag("keep-going") {
         session = session.keep_going();
     }
-    if matches.get_flag("no-pipeline") {
-        session = session.pipelined(false);
-    }
     if let Some(cache) = cache {
         session = session.cache_boxed(cache);
     }
@@ -955,12 +872,6 @@ fn cmd_sweep(matches: &clap::ArgMatches) -> Result<ExitCode, ExploreError> {
         session = session.checkpoint(path);
     }
     session = session.retry(retry_policy(matches));
-    if let Some(lease_dir) = matches.get_one::<String>("lease-dir") {
-        let timeout_ms: u64 = matches.get_one("lease-timeout").expect("has default");
-        session = session
-            .coexecute(lease_dir)
-            .lease_config(LeaseConfig::default().timeout_ms(timeout_ms));
-    }
 
     if to_stdout {
         // With no output file the records go to stdout — --quiet only
@@ -999,12 +910,6 @@ fn cmd_sweep_distributed(
     spec: &SweepSpec,
     workers: &str,
 ) -> Result<ExitCode, ExploreError> {
-    if matches.get_one::<String>("lease-dir").is_some() {
-        return Err(ExploreError::invalid_spec(
-            "--workers and --lease-dir are two different executors for the same sweep \
-             (socket-fed fleet vs shared-filesystem co-execution); pick one",
-        ));
-    }
     if matches.get_one::<String>("cache").is_some() {
         return Err(ExploreError::invalid_spec(
             "--cache does not apply with --workers: the result cache lives on each \
@@ -1110,54 +1015,6 @@ fn cmd_sweep_distributed(
     Ok(outcome_exit(&outcome))
 }
 
-fn cmd_join(matches: &clap::ArgMatches) -> Result<ExitCode, ExploreError> {
-    let spec = load_spec(matches)?;
-    let lease_dir: String = matches.get_one("lease-dir").expect("required");
-    let timeout_ms: u64 = matches.get_one("lease-timeout").expect("has default");
-    let quiet = matches.get_flag("quiet");
-
-    let injector = load_fault_injector(matches)?;
-    let cache = match matches.get_one::<String>("cache") {
-        Some(dir) => Some(open_backend(&dir, matches.get_one("backend"))?),
-        None => None,
-    };
-    let cache = maybe_faulty_cache(cache, injector.as_ref());
-
-    let outcome = join_sweep(
-        &spec,
-        cache.as_deref(),
-        &lease_dir,
-        LeaseConfig::default().timeout_ms(timeout_ms),
-        retry_policy(matches),
-        &mut |shard: &ShardProgress| {
-            if !quiet {
-                print_shard_progress(shard);
-            }
-        },
-    )?;
-    if !quiet {
-        println!(
-            "joined `{}` via `{lease_dir}`: computed {} of {} shards \
-             ({} points, {} cached, {} simulated)",
-            spec.name,
-            outcome.shards_computed,
-            outcome.total_shards,
-            outcome.points_computed,
-            outcome.stats.hits,
-            outcome.stats.misses,
-        );
-    }
-    if outcome.cache_degraded > 0 {
-        eprintln!(
-            "warning: {} cache writes were dropped after exhausting retries; every \
-             record still reached its part file, but those points will re-simulate \
-             on the next run",
-            outcome.cache_degraded,
-        );
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
 fn cmd_resume(matches: &clap::ArgMatches) -> Result<ExitCode, ExploreError> {
     let spec = load_spec(matches)?;
     let checkpoint_path: String = matches.get_one("checkpoint").expect("required");
@@ -1226,9 +1083,6 @@ fn cmd_resume(matches: &clap::ArgMatches) -> Result<ExitCode, ExploreError> {
         });
     if header.keep_going {
         session = session.keep_going();
-    }
-    if matches.get_flag("no-pipeline") {
-        session = session.pipelined(false);
     }
     if let Some(cache) = cache {
         session = session.cache_boxed(cache);
@@ -1450,7 +1304,8 @@ fn cmd_serve(matches: &clap::ArgMatches) -> Result<(), ExploreError> {
 /// different banner — same protocol, same handlers — tuned for shard
 /// traffic: a coordinator (`sweep --workers`) sends `compute-shard`
 /// requests, the worker computes them against its own local cache and
-/// artifact store, and streams back the lease part-file payload.
+/// artifact store, and streams back each computed shard as a `part` frame
+/// plus its record lines.
 /// `--fault-plan` wraps the local cache in the deterministic fault
 /// injector so chaos drills can kill or degrade one worker of a fleet.
 fn cmd_worker(matches: &clap::ArgMatches) -> Result<(), ExploreError> {

@@ -289,21 +289,6 @@ fn workers_flag_conflicts_are_usage_errors() {
     let spec_path = write_spec(&dir, &fleet_spec("dist-usage"));
     let spec = spec_path.to_str().unwrap();
 
-    // --workers + --lease-dir: two executors for one sweep.
-    let out = run(&[
-        "sweep",
-        "--spec",
-        spec,
-        "--keep-going",
-        "--workers",
-        "127.0.0.1:1",
-        "--lease-dir",
-        dir.join("lease").to_str().unwrap(),
-    ]);
-    assert_eq!(out.status.code(), Some(1), "{out:?}");
-    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
-    assert!(stderr.contains("--workers and --lease-dir"), "{stderr}");
-
     // --workers + --cache: the cache lives on the workers.
     let out = run(&[
         "sweep",

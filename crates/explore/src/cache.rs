@@ -356,10 +356,6 @@ pub struct DirCache {
     dir: PathBuf,
 }
 
-/// The pre-[`CacheBackend`] name of [`DirCache`], kept so existing callers
-/// compile unchanged.
-pub type SimCache = DirCache;
-
 impl DirCache {
     /// Opens (creating if needed) a cache directory.
     ///

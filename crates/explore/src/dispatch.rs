@@ -1,110 +1,45 @@
-//! The shard-dispatch seam: one merge loop, many ways to compute a shard.
+//! Computing shards in one process and merging them in another.
 //!
-//! Both co-execution (`sweep --lease-dir`, shards computed by processes on
-//! one filesystem) and distributed sweeps (`sweep --workers`, shards computed
-//! by socket-fed worker daemons) reduce to the same shape: shards are
-//! produced *somewhere*, each as a shard-local [`ShardCheckpoint`] meta plus
-//! its records, and a single primary merges them — strictly in expansion
-//! order — into the session's sink, checkpointing as it goes. This module
-//! owns that shape:
+//! A distributed sweep (`sweep --workers`) computes shards on socket-fed
+//! worker daemons and merges them on the coordinator. Each shard travels as
+//! a shard-local [`ShardCheckpoint`] meta plus its records, and the
+//! coordinator merges them strictly in expansion order into the session's
+//! sink, checkpointing as it goes. This module owns both ends:
 //!
 //! * [`compute_shard_part`] — computes one shard into a [`ComputedPart`]:
-//!   the meta line, the pre-rendered record body (the exact bytes a
+//!   the meta line and the pre-rendered record body (the exact bytes a
 //!   [`JsonlSink`](crate::JsonlSink) would write — fresh records reuse the
-//!   JSON already rendered for their cache entry), and the parsed records.
-//!   The lease ledger publishes the body as a part file; a worker daemon
-//!   streams the same bytes over a socket. One function, one wire format.
-//! * [`ShardSource`] — where merged shards come from: a blocking
-//!   `next_part(shard)` that returns shard `shard`'s meta and records once
-//!   they exist. The lease ledger implements it by claiming/computing/
-//!   polling; a worker fleet implements it by collecting socket responses.
-//! * [`merge_shard_source`] — the shared primary loop: checkpoint-replay of
-//!   already-recorded shards, then `next_part` per remaining shard, sink
-//!   emission and flush, checkpoint append (cumulative `emitted`), progress
-//!   reporting. Byte-identical output to a single-process run at any worker
-//!   count, because every path feeds it the same deterministic bytes.
-//! * [`AdaptiveBackoff`] — the idle-wait policy for pollers: tight
-//!   (microseconds) while work is landing, doubling toward a configured cap
-//!   while idle, so a primary notices a freshly-published part in
-//!   microseconds without spinning when the fleet is quiet.
+//!   JSON already rendered for their cache entry). A worker daemon streams
+//!   these bytes over its socket.
+//! * [`merge_shard_source`] — the merge loop: checkpoint replay of
+//!   already-recorded shards, then one `fetch(shard)` per remaining shard,
+//!   sink emission and flush, checkpoint append (cumulative `emitted`) and
+//!   progress reporting, through the same shard bookkeeping the local
+//!   executor uses. Output is byte-identical to a single-process run at any
+//!   worker count, because every path feeds it the same deterministic bytes.
 
 use std::ops::Range;
-use std::time::Duration;
 
-use crate::cache::{CacheBackend, CacheStats};
+use crate::cache::CacheBackend;
 use crate::checkpoint::{Checkpoint, ShardCheckpoint};
 use crate::error::{ExploreError, Result};
 use crate::record::SweepRecord;
 use crate::retry::RetryPolicy;
 use crate::runner::{
-    compute_shard, effective_shard_size, ArtifactStore, ErrorPolicy, FailureCause, PointFailure,
-    ShardProgress, StreamOptions, StreamOutcome,
+    compute_shard, ArtifactStore, ComputedShard, ErrorPolicy, ShardProgress, StreamOptions,
+    StreamOutcome, SweepRun,
 };
 use crate::sink::RecordSink;
 use crate::spec::SweepSpec;
 
-/// Exponentially-backed-off idle waiting for shard pollers.
+/// One computed shard in its wire form: the shard-local meta and the
+/// pre-rendered record body.
 ///
-/// Fixed-interval polling forces a trade-off: a short interval spins, a long
-/// one adds up to the interval of latency to *every* shard hand-off, which
-/// is exactly the coordination overhead that made co-execution slower than
-/// the in-process pipeline. This backoff starts at tens of microseconds
-/// (shards usually land back-to-back while a fleet drains a sweep) and
-/// doubles toward the configured cap while nothing happens; any progress
-/// [`reset`](Self::reset)s it to the floor. The cap keeps the old `poll_ms`
-/// semantics: a waiter never sleeps longer than the configured interval.
-#[derive(Debug, Clone)]
-pub struct AdaptiveBackoff {
-    base: Duration,
-    cap: Duration,
-    next: Duration,
-}
-
-/// The backoff floor: long enough to yield the CPU meaningfully, short
-/// enough that a part published mid-wait is noticed almost immediately.
-const BACKOFF_FLOOR: Duration = Duration::from_micros(50);
-
-impl AdaptiveBackoff {
-    /// A backoff sleeping between ~50 µs and `cap_ms` milliseconds.
-    pub fn new(cap_ms: u64) -> Self {
-        let cap = Duration::from_millis(cap_ms.max(1));
-        let base = cap.min(BACKOFF_FLOOR);
-        Self {
-            base,
-            cap,
-            next: base,
-        }
-    }
-
-    /// Snaps the next wait back to the floor — call on any sign of progress.
-    pub fn reset(&mut self) {
-        self.next = self.base;
-    }
-
-    /// The wait [`wait`](Self::wait) would sleep next, advancing the
-    /// schedule (each delay doubles, clamped to the cap). Exposed so tests
-    /// can assert the schedule without sleeping.
-    pub fn next_delay(&mut self) -> Duration {
-        let delay = self.next;
-        self.next = (self.next * 2).min(self.cap);
-        delay
-    }
-
-    /// Sleeps the current delay and doubles the next one (up to the cap).
-    pub fn wait(&mut self) {
-        std::thread::sleep(self.next_delay());
-    }
-}
-
-/// One computed shard in the co-execution wire format: the shard-local meta,
-/// the pre-rendered record body, and the records themselves.
-///
-/// `body` is the part-file payload minus its meta line: one compact JSON
-/// document per record, each `\n`-terminated — byte-identical to what a
-/// [`JsonlSink`](crate::JsonlSink) writes for the same records, because
-/// fresh records reuse the JSON already rendered for their cache entry.
-/// `records` holds the same data parsed, so a primary that computed a shard
-/// itself can merge it without re-reading (or re-parsing) its own bytes.
+/// `body` is what follows the `part` frame of a `compute-shard` response:
+/// one compact JSON document per record, each `\n`-terminated —
+/// byte-identical to what a [`JsonlSink`](crate::JsonlSink) writes for the
+/// same records, because fresh records reuse the JSON already rendered for
+/// their cache entry.
 #[derive(Debug, Clone)]
 pub struct ComputedPart {
     /// Shard metadata with *shard-local* `emitted` (the merge loop
@@ -113,18 +48,15 @@ pub struct ComputedPart {
     /// The record lines: `meta.emitted` compact JSON documents, each ending
     /// in `\n`.
     pub body: String,
-    /// The same records, parsed, in expansion order.
-    pub records: Vec<SweepRecord>,
 }
 
-/// Computes one shard into its co-execution part form: cache writes (under
-/// `retry`, degrading on exhaustion rather than failing — shard producers
-/// always run under `KeepGoing`), then the rendered body and records.
+/// Computes one shard into its part form: cache writes (under `retry`,
+/// degrading on exhaustion rather than failing — shard producers always run
+/// under `KeepGoing`), then the rendered body.
 ///
-/// This is the single compute path behind `sweep --lease-dir` workers,
-/// `join`, and `worker` daemons answering `compute-shard` requests: all of
-/// them produce identical bytes for a given `(spec, shard range)` because
-/// they all run this function.
+/// This is the compute path behind `worker` daemons answering
+/// `compute-shard` requests, so every worker produces identical bytes for a
+/// given `(spec, shard range)`.
 ///
 /// # Errors
 ///
@@ -157,54 +89,32 @@ pub fn compute_shard_part(
         }
     }
     let mut body = String::new();
-    let mut records = Vec::new();
-    for prepared in computed.slots.into_iter().flatten() {
+    let mut emitted = 0usize;
+    for prepared in computed.slots.iter().flatten() {
         match &prepared.cache_entry {
             Some((_, json)) => body.push_str(json),
             None => body.push_str(&serde_json::to_string(&prepared.record)?),
         }
         body.push('\n');
-        records.push(prepared.record);
+        emitted += 1;
     }
     let meta = ShardCheckpoint {
         shard,
         points: computed.points,
         hits: computed.hits,
         misses: computed.points - computed.hits,
-        emitted: records.len(),
+        emitted,
         failures: computed.checkpoint_failures,
         cache_degraded,
     };
-    Ok(ComputedPart {
-        meta,
-        body,
-        records,
-    })
+    Ok(ComputedPart { meta, body })
 }
 
-/// Where a merging primary gets computed shards from.
-///
-/// Implementations block until the requested shard's part exists — by
-/// claiming and computing shards themselves (the lease ledger), by waiting
-/// for socket-fed workers (the distributed coordinator), or anything else
-/// that eventually produces every shard. The merge loop asks for shards
-/// strictly in order, each exactly once.
-pub trait ShardSource {
-    /// Blocks until shard `shard` is complete, returning its shard-local
-    /// meta and records.
-    ///
-    /// # Errors
-    ///
-    /// Whatever makes the shard unobtainable (the source decides what is
-    /// fatal; transient producer failures should be retried internally).
-    fn next_part(&mut self, shard: usize) -> Result<(ShardCheckpoint, Vec<SweepRecord>)>;
-}
-
-/// The shared primary merge loop: replays checkpointed shards, then pulls
-/// every remaining shard from `source` — strictly in expansion order — into
-/// `sink`, flushing per shard and checkpointing each merged shard (with
-/// *cumulative* `emitted`, as checkpoints require). Returns once every shard
-/// is merged, however many producers computed them.
+/// The merge loop: replays checkpointed shards, then fetches every
+/// remaining shard — strictly in expansion order, each exactly once — with
+/// `fetch(shard)`, which blocks until that shard's shard-local meta and
+/// records exist. Each shard goes into `sink`, flushed per shard and
+/// checkpointed with *cumulative* `emitted`, as checkpoints require.
 ///
 /// Output is byte-identical to a single-process run of the same spec: record
 /// bytes are deterministic, and the merge order is the expansion order.
@@ -213,16 +123,16 @@ pub trait ShardSource {
 ///
 /// Refuses non-[`KeepGoing`](ErrorPolicy::KeepGoing) policies (a fail-fast
 /// abort cannot be propagated to independent shard producers); propagates
-/// spec-validation, source, sink and checkpoint errors.
+/// spec-validation, fetch, sink and checkpoint errors, and rejects a fetched
+/// part labelled with a different shard.
 pub fn merge_shard_source(
     spec: &SweepSpec,
     options: &StreamOptions,
     sink: &mut dyn RecordSink,
     progress: &mut dyn FnMut(&ShardProgress),
-    mut checkpoint: Option<&mut Checkpoint>,
-    source: &mut dyn ShardSource,
+    checkpoint: Option<&mut Checkpoint>,
+    fetch: &mut dyn FnMut(usize) -> Result<(ShardCheckpoint, Vec<SweepRecord>)>,
 ) -> Result<StreamOutcome> {
-    spec.validate()?;
     if options.error_policy != ErrorPolicy::KeepGoing {
         return Err(ExploreError::invalid_spec(
             "merging from a shard source requires ErrorPolicy::KeepGoing: a fail-fast \
@@ -231,118 +141,19 @@ pub fn merge_shard_source(
              --keep-going)",
         ));
     }
-    let total = spec.point_count()?;
-    let shard_size = effective_shard_size(options, total);
-    let shards = total.div_ceil(shard_size);
-
-    let completed_shards = checkpoint.as_ref().map_or(0, |c| c.completed().len());
-    if completed_shards > shards {
-        return Err(ExploreError::checkpoint(format!(
-            "checkpoint records {completed_shards} shards but the sweep only has {shards}"
-        )));
-    }
-    let retry = options.retry;
-    let mut stats = CacheStats::default();
-    let mut failures: Vec<PointFailure> = Vec::new();
-    let mut replayed_failures = 0usize;
-    let mut skipped_points = 0usize;
-    let mut cache_degraded = 0usize;
-    let mut done = 0usize;
-    let mut emitted = checkpoint.as_ref().map_or(0, |c| c.emitted());
-
-    // Checkpoint-replay mirrors the single-process executor: recorded shards
-    // are already durable in the primary's sink, so they are neither
-    // re-merged nor re-computed.
-    for shard in 0..completed_shards {
-        let start = shard * shard_size;
-        let shard_points = (start + shard_size).min(total) - start;
-        let recorded = checkpoint
-            .as_ref()
-            .expect("completed_shards > 0 implies a checkpoint")
-            .completed()[shard]
-            .clone();
-        for failure in &recorded.failures {
-            failures.push(PointFailure {
-                index: failure.index,
-                label: failure.label.clone(),
-                error: FailureCause::Recorded(failure.error.clone()),
-            });
-        }
-        replayed_failures += recorded.failures.len();
-        skipped_points += shard_points;
-        done += shard_points;
-        progress(&ShardProgress {
-            shard,
-            shards,
-            points: shard_points,
-            hits: 0,
-            failures: recorded.failures.len(),
-            skipped: shard_points,
-            done,
-            total,
-        });
-    }
-
-    for shard in completed_shards..shards {
-        let (meta, records) = source.next_part(shard)?;
+    let mut run = SweepRun::start(spec, None, options, checkpoint.as_deref(), progress)?;
+    let mut merge = |shard: usize, _start: usize, _end: usize| {
+        let (meta, records) = fetch(shard)?;
         if meta.shard != shard {
             return Err(ExploreError::checkpoint(format!(
-                "shard source returned shard {} metadata when shard {shard} was requested",
+                "fetched shard {} metadata when shard {shard} was requested",
                 meta.shard
             )));
         }
-        for record in records {
-            sink.accept(record)?;
-        }
-        retry.run(|| sink.flush_shard())?;
-        emitted += meta.emitted;
-        stats.hits += meta.hits;
-        stats.misses += meta.misses;
-        cache_degraded += meta.cache_degraded;
-        for failure in &meta.failures {
-            failures.push(PointFailure {
-                index: failure.index,
-                label: failure.label.clone(),
-                error: FailureCause::Recorded(failure.error.clone()),
-            });
-        }
-        let failed = meta.failures.len();
-        if let Some(ckpt) = checkpoint.as_deref_mut() {
-            retry.run(|| sink.sync())?;
-            ckpt.record_shard(ShardCheckpoint {
-                shard,
-                points: meta.points,
-                hits: meta.hits,
-                misses: meta.misses,
-                // Cumulative in the checkpoint, shard-local in the part.
-                emitted,
-                failures: meta.failures,
-                cache_degraded: meta.cache_degraded,
-            })?;
-        }
-        done += meta.points;
-        progress(&ShardProgress {
-            shard,
-            shards,
-            points: meta.points,
-            hits: meta.hits,
-            failures: failed,
-            skipped: 0,
-            done,
-            total,
-        });
-    }
-    sink.finish()?;
-
-    Ok(StreamOutcome {
-        stats,
-        failures,
-        replayed_failures,
-        shards,
-        total_points: total,
-        skipped_points,
-        cache_degraded,
-    })
+        Ok(ComputedShard::from_part(meta, records))
+    };
+    run.run_serial(&mut merge, sink, progress, checkpoint)?;
+    Ok(run.outcome())
 }
 
 #[cfg(test)]
@@ -350,48 +161,15 @@ mod tests {
     use super::*;
     use crate::sink::VecSink;
 
-    #[test]
-    fn backoff_doubles_to_the_cap_and_resets() {
-        let mut backoff = AdaptiveBackoff::new(2);
-        let mut delays = Vec::new();
-        for _ in 0..10 {
-            delays.push(backoff.next_delay());
-        }
-        assert_eq!(delays[0], Duration::from_micros(50), "starts at the floor");
-        for pair in delays.windows(2) {
-            assert!(pair[1] >= pair[0], "delays never shrink without a reset");
-            assert!(pair[1] <= Duration::from_millis(2), "cap is respected");
-        }
-        assert_eq!(*delays.last().unwrap(), Duration::from_millis(2));
-        backoff.reset();
-        assert_eq!(backoff.next_delay(), Duration::from_micros(50));
-    }
-
-    #[test]
-    fn backoff_cap_below_the_floor_stays_at_the_cap() {
-        // poll_ms(1) clamps everything to 1 ms worth of schedule; the floor
-        // shrinks to the cap rather than exceeding it.
-        let mut backoff = AdaptiveBackoff::new(1);
-        let first = backoff.next_delay();
-        assert!(first <= Duration::from_millis(1));
-        for _ in 0..8 {
-            assert!(backoff.next_delay() <= Duration::from_millis(1));
-        }
-    }
-
-    /// A source that serves pre-baked parts, recording the order they were
-    /// asked for.
-    struct BakedSource {
-        parts: Vec<ComputedPart>,
-        asked: Vec<usize>,
-    }
-
-    impl ShardSource for BakedSource {
-        fn next_part(&mut self, shard: usize) -> Result<(ShardCheckpoint, Vec<SweepRecord>)> {
-            self.asked.push(shard);
-            let part = self.parts[shard].clone();
-            Ok((part.meta, part.records))
-        }
+    /// A part's meta and its body parsed back into records — what the
+    /// distributed coordinator hands the merge loop.
+    fn parsed(part: &ComputedPart) -> (ShardCheckpoint, Vec<SweepRecord>) {
+        let records = part
+            .body
+            .lines()
+            .map(|line| serde_json::from_str(line).unwrap())
+            .collect();
+        (part.meta.clone(), records)
     }
 
     #[test]
@@ -411,37 +189,39 @@ mod tests {
                 .unwrap()
             })
             .collect();
+        let direct = crate::ExploreSession::new(&spec).run_collect().unwrap();
         // The part body is the exact JSONL rendering of its records.
-        for part in &parts {
-            let rendered: String = part
-                .records
+        for (shard, part) in parts.iter().enumerate() {
+            let rendered: String = direct.records[shard * 2..shard * 2 + 2]
                 .iter()
                 .map(|r| serde_json::to_string(r).unwrap() + "\n")
                 .collect();
             assert_eq!(part.body, rendered);
             assert_eq!(part.meta.emitted, 2);
         }
-        let mut source = BakedSource {
-            parts,
-            asked: Vec::new(),
-        };
+        let mut asked = Vec::new();
         let mut sink = VecSink::new();
         let options = StreamOptions::chunked(2).keep_going();
-        let outcome =
-            merge_shard_source(&spec, &options, &mut sink, &mut |_| {}, None, &mut source).unwrap();
-        assert_eq!(source.asked, vec![0, 1], "strictly in expansion order");
+        let outcome = merge_shard_source(
+            &spec,
+            &options,
+            &mut sink,
+            &mut |_| {},
+            None,
+            &mut |shard| {
+                asked.push(shard);
+                Ok(parsed(&parts[shard]))
+            },
+        )
+        .unwrap();
+        assert_eq!(asked, vec![0, 1], "strictly in expansion order");
         assert_eq!(outcome.total_points, 4);
-        let direct = crate::ExploreSession::new(&spec).run_collect().unwrap();
         assert_eq!(sink.records(), &direct.records[..]);
     }
 
     #[test]
     fn merge_refuses_fail_fast() {
         let spec = SweepSpec::new("seam-ff").with_wavelengths(vec![1]);
-        let mut source = BakedSource {
-            parts: Vec::new(),
-            asked: Vec::new(),
-        };
         let mut sink = VecSink::new();
         let err = merge_shard_source(
             &spec,
@@ -449,7 +229,7 @@ mod tests {
             &mut sink,
             &mut |_| {},
             None,
-            &mut source,
+            &mut |_| unreachable!("a refused merge fetches nothing"),
         )
         .unwrap_err();
         assert!(err.to_string().contains("KeepGoing"), "{err}");
@@ -461,19 +241,15 @@ mod tests {
         let artifacts = std::sync::Mutex::new(ArtifactStore::default());
         let part =
             compute_shard_part(&spec, None, RetryPolicy::none(), 1, 0..2, &artifacts).unwrap();
-        let mut source = BakedSource {
-            // Asked for shard 0, serves shard-1-labeled metadata.
-            parts: vec![part.clone(), part],
-            asked: Vec::new(),
-        };
         let mut sink = VecSink::new();
+        // Asked for shard 0, serves shard-1-labeled metadata.
         let err = merge_shard_source(
             &spec,
             &StreamOptions::chunked(2).keep_going(),
             &mut sink,
             &mut |_| {},
             None,
-            &mut source,
+            &mut |_| Ok(parsed(&part)),
         )
         .unwrap_err();
         assert!(err.to_string().contains("shard 1 metadata"), "{err}");

@@ -4,7 +4,7 @@
 //! per-operation transient-error rate, and a list of faults pinned to exact
 //! *operation indices*. Wrapping a [`CacheBackend`] in a [`FaultyCache`] and a
 //! [`RecordSink`] in a [`FaultySink`] makes the plan fire as the sweep's
-//! durability chain executes — the chaos harness the lease protocol, the
+//! durability chain executes — the chaos harness the worker fleet, the
 //! retry policy and the checkpoint invariant are tested against (and the
 //! engine behind the CLI's `--fault-plan` flag, used by the chaos smoke
 //! tests).

@@ -15,13 +15,12 @@
 //!   in configurable shards on a thread pool (`RAYON_NUM_THREADS` sized),
 //!   shares workload/accelerator artifacts within and across shards behind
 //!   [`std::sync::Arc`]s, overlaps each shard's simulation with the previous
-//!   shard's durability I/O on a dedicated writer thread (the two-stage
-//!   [pipeline](ExploreSession::pipelined), on by default for multi-shard
-//!   sweeps), pushes completed [`SweepRecord`]s into a [`RecordSink`]
-//!   (in-memory, pretty JSON, JSONL, CSV — flushed per shard) in a
-//!   deterministic order so result files are byte-identical at any thread
-//!   count, any chunk size, any cache backend and with the pipeline on or
-//!   off, optionally keeps going past failing points, and records per-shard
+//!   shard's durability I/O on a dedicated writer thread whenever more than
+//!   one shard remains, pushes completed [`SweepRecord`]s into a
+//!   [`RecordSink`] (in-memory, pretty JSON, JSONL, CSV — flushed per shard)
+//!   in a deterministic order so result files are byte-identical at any
+//!   thread count, any chunk size and any cache backend, optionally keeps
+//!   going past failing points, and records per-shard
 //!   outcomes in a sidecar [checkpoint](ExploreSession::checkpoint) so
 //!   interrupted sweeps resume without re-simulating completed shards or
 //!   re-attempting recorded failures;
@@ -45,9 +44,9 @@
 //!   silently joining every frontier.
 //!
 //! The `simphony-cli` binary exposes all of this as `sweep` (with
-//! `--chunk-size`, `--jsonl`, `--keep-going`, `--backend`, `--checkpoint`,
-//! `--no-pipeline`), `resume`, `cache stats`/`cache migrate`, `pareto` and
-//! `run` subcommands; see `EXPERIMENTS.md` at the repository root.
+//! `--chunk-size`, `--jsonl`, `--keep-going`, `--backend`, `--checkpoint`),
+//! `resume`, `cache stats`/`cache migrate`, `pareto` and `run` subcommands;
+//! see `EXPERIMENTS.md` at the repository root.
 //!
 //! # Examples
 //!
@@ -84,24 +83,6 @@
 //! assert_eq!(sink.records().len(), 3);
 //! # Ok::<(), simphony_explore::ExploreError>(())
 //! ```
-//!
-//! # Migrating from the removed free functions
-//!
-//! The pre-builder entry points `run_sweep` and `run_sweep_streaming` went
-//! through a deprecation cycle and have been removed; every use maps onto
-//! the session builder:
-//!
-//! ```text
-//! run_sweep(&spec, None)                  =>  ExploreSession::new(&spec).run_collect()
-//! run_sweep(&spec, Some(&cache))          =>  ExploreSession::new(&spec).cache(cache).run_collect()
-//! run_sweep_streaming(&spec, cache, &opts, &mut sink, progress)
-//!     =>  ExploreSession::new(&spec)
-//!             .cache(cache)               // any CacheBackend, not just DirCache
-//!             .chunk_size(n).keep_going() // or .options(opts)
-//!             .sink(&mut sink)
-//!             .on_progress(progress)
-//!             .run()
-//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -111,7 +92,6 @@ mod checkpoint;
 mod dispatch;
 mod error;
 mod fault;
-mod lease;
 mod pareto;
 mod record;
 mod retry;
@@ -122,17 +102,14 @@ mod spec;
 
 pub use cache::{
     content_key, migrate_cache, BackendKind, BackendStats, CacheBackend, CacheStats, DirCache,
-    PackedSegmentCache, ShardedDirCache, SimCache,
+    PackedSegmentCache, ShardedDirCache,
 };
 pub use checkpoint::{
     spec_fingerprint, Checkpoint, CheckpointFailure, CheckpointHeader, ShardCheckpoint,
 };
-pub use dispatch::{
-    compute_shard_part, merge_shard_source, AdaptiveBackoff, ComputedPart, ShardSource,
-};
+pub use dispatch::{compute_shard_part, merge_shard_source, ComputedPart};
 pub use error::{ExploreError, Result};
 pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultyCache, FaultySink, PlannedFault};
-pub use lease::{join_sweep, CoexecManifest, JoinOutcome, LeaseConfig, LeaseGuard, LeaseLedger};
 pub use pareto::{dominates, pareto_front, Objective, ParetoRecord};
 pub use record::{
     csv_escape, csv_row, read_json, read_jsonl, read_records, read_records_as, to_csv, write_csv,

@@ -5,8 +5,8 @@
 //! flushes — can fail transiently (NFS hiccups, overloaded disks, the fault
 //! layer's injected errors). A [`RetryPolicy`] re-attempts such operations
 //! with exponentially growing, jittered sleeps, capped both per attempt and
-//! by a total sleep budget, so a co-executing fleet of workers never
-//! synchronizes into a thundering herd against shared storage.
+//! by a total sleep budget, so a fleet of workers never synchronizes into a
+//! thundering herd against shared storage.
 //!
 //! The default policy is [`RetryPolicy::none`]: one attempt, no sleeping, no
 //! behaviour change — retries are strictly opt-in

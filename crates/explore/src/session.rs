@@ -40,7 +40,6 @@ use std::path::PathBuf;
 use crate::cache::CacheBackend;
 use crate::checkpoint::{Checkpoint, CheckpointHeader};
 use crate::error::Result;
-use crate::lease::{execute_coexec, LeaseConfig, LeaseLedger};
 use crate::retry::RetryPolicy;
 use crate::runner::{
     effective_shard_size, execute, ArtifactBudget, ArtifactStore, ErrorPolicy, ShardProgress,
@@ -62,15 +61,13 @@ pub struct ExploreSession<'a> {
     sink: Option<&'a mut dyn RecordSink>,
     progress: Option<ProgressCallback<'a>>,
     checkpoint: Option<PathBuf>,
-    lease_dir: Option<PathBuf>,
-    lease: LeaseConfig,
     artifacts: Option<SharedArtifactStore>,
     artifact_budget: ArtifactBudget,
 }
 
 impl<'a> ExploreSession<'a> {
     /// A session over `spec` with the engine defaults: no cache, one shard,
-    /// fail-fast, auto-pipelined, no sink (use
+    /// fail-fast, no sink (use
     /// [`run_collect`](Self::run_collect) or [`sink`](Self::sink)), no
     /// progress callback, no checkpoint.
     pub fn new(spec: &'a SweepSpec) -> Self {
@@ -81,8 +78,6 @@ impl<'a> ExploreSession<'a> {
             sink: None,
             progress: None,
             checkpoint: None,
-            lease_dir: None,
-            lease: LeaseConfig::default(),
             artifacts: None,
             artifact_budget: ArtifactBudget::default(),
         }
@@ -153,19 +148,6 @@ impl<'a> ExploreSession<'a> {
         self
     }
 
-    /// Forces the two-stage executor pipeline on or off. By default the
-    /// engine decides automatically: shard compute overlaps the previous
-    /// shard's durability I/O (cache writes, sink flush, checkpoint append)
-    /// on a dedicated writer thread whenever more than one shard remains.
-    /// Output is byte-identical either way — `pipelined(false)` is the
-    /// escape hatch (`--no-pipeline` on the CLI) for debugging or for
-    /// environments where the extra thread is unwelcome.
-    #[must_use]
-    pub fn pipelined(mut self, enabled: bool) -> Self {
-        self.options.pipelined = Some(enabled);
-        self
-    }
-
     /// Replaces the whole option block at once (compatibility with code that
     /// already holds a [`StreamOptions`]).
     #[must_use]
@@ -217,35 +199,6 @@ impl<'a> ExploreSession<'a> {
     #[must_use]
     pub fn retry(mut self, policy: RetryPolicy) -> Self {
         self.options.retry = policy;
-        self
-    }
-
-    /// Co-executes the sweep with other worker processes through a shared
-    /// lease directory (created if missing): shards are claimed via
-    /// create-exclusive lease files, published as atomically-renamed part
-    /// files, and merged — in shard order — into this session's sink by this
-    /// process, which acts as the *primary*. Additional processes attach with
-    /// [`join_sweep`](crate::join_sweep) (`simphony-cli join`); a worker that
-    /// dies mid-shard loses its lease after the
-    /// [`lease_config`](Self::lease_config) timeout and its shard is
-    /// re-claimed.
-    ///
-    /// Requires [`keep_going`](Self::keep_going): fail-fast across a fleet of
-    /// independent processes is ill-defined (a remote worker cannot abort the
-    /// primary's sink mid-merge), so [`run`](Self::run) refuses the
-    /// combination. Merged output is byte-identical to a single-process run
-    /// of the same spec.
-    #[must_use]
-    pub fn coexecute(mut self, lease_dir: impl Into<PathBuf>) -> Self {
-        self.lease_dir = Some(lease_dir.into());
-        self
-    }
-
-    /// Tunes the lease protocol ([`coexecute`](Self::coexecute)): stale-lease
-    /// timeout, poll interval, owner label.
-    #[must_use]
-    pub fn lease_config(mut self, config: LeaseConfig) -> Self {
-        self.lease = config;
         self
     }
 
@@ -315,8 +268,6 @@ impl<'a> ExploreSession<'a> {
             sink: _,
             mut progress,
             checkpoint,
-            lease_dir,
-            lease,
             artifacts,
             artifact_budget,
         } = self;
@@ -346,19 +297,6 @@ impl<'a> ExploreSession<'a> {
                 f(shard);
             }
         };
-        if let Some(dir) = lease_dir {
-            let ledger = LeaseLedger::open(dir, lease)?;
-            return execute_coexec(
-                spec,
-                cache.as_deref(),
-                &options,
-                sink,
-                &mut callback,
-                checkpoint.as_mut(),
-                &ledger,
-                artifacts,
-            );
-        }
         execute(
             spec,
             cache.as_deref(),

@@ -79,40 +79,33 @@ fn every_backend_reproduces_the_golden_bytes_at_every_chunk_size() {
 
 #[test]
 fn the_pipeline_is_byte_identical_to_the_serial_path_on_every_backend() {
-    // Sink bytes, cache contents and checkpoint files of a pipelined sweep
-    // must be indistinguishable from the strictly-serial executor's, for
-    // every backend at every chunk size — cold and warm.
+    // A chunked sweep (on the writer-thread pipeline whenever it spans more
+    // than one shard) must leave the same sink bytes and cache contents as
+    // the unchunked one (a single shard, run inline), for every backend at
+    // every chunk size — cold and warm.
     let spec: SweepSpec = serde_json::from_str(GOLDEN_SPEC).expect("golden spec parses");
     for kind in BackendKind::ALL {
         for chunk in [1, 3, 8, 32, 1000] {
             let dir = scratch_dir(&format!("pipe-{kind}-{chunk}"));
-            let run = |pipelined: bool, tag: &str| {
+            let run = |chunk: usize, tag: &str| {
                 let jsonl = dir.join(format!("{tag}.jsonl"));
-                let ckpt = dir.join(format!("{tag}.ckpt"));
                 let cache_dir = dir.join(format!("cache-{tag}"));
                 let mut sink = JsonlSink::create(&jsonl).expect("sink creates");
                 ExploreSession::new(&spec)
                     .cache_boxed(kind.open(&cache_dir).expect("backend opens"))
                     .chunk_size(chunk)
-                    .pipelined(pipelined)
-                    .checkpoint(&ckpt)
                     .sink(&mut sink)
                     .run()
                     .expect("sweep runs");
                 drop(sink);
-                (jsonl, ckpt, cache_dir)
+                (jsonl, cache_dir)
             };
-            let (serial_jsonl, serial_ckpt, serial_cache) = run(false, "serial");
-            let (piped_jsonl, piped_ckpt, piped_cache) = run(true, "piped");
+            let (serial_jsonl, serial_cache) = run(0, "serial");
+            let (piped_jsonl, piped_cache) = run(chunk, "piped");
             assert_eq!(
                 std::fs::read(&piped_jsonl).unwrap(),
                 std::fs::read(&serial_jsonl).unwrap(),
-                "{kind} chunk {chunk}: pipelined sink bytes diverged"
-            );
-            assert_eq!(
-                std::fs::read(&piped_ckpt).unwrap(),
-                std::fs::read(&serial_ckpt).unwrap(),
-                "{kind} chunk {chunk}: pipelined checkpoint diverged"
+                "{kind} chunk {chunk}: chunked sink bytes diverged"
             );
             // Cache contents: identical key → record maps (file names can
             // differ for packed segments, whose names embed a counter).
@@ -130,16 +123,15 @@ fn the_pipeline_is_byte_identical_to_the_serial_path_on_every_backend() {
             assert_eq!(
                 snapshot(&piped_cache),
                 snapshot(&serial_cache),
-                "{kind} chunk {chunk}: pipelined cache contents diverged"
+                "{kind} chunk {chunk}: chunked cache contents diverged"
             );
-            // Warm pipelined rerun over the serial path's cache: all hits,
+            // Warm chunked rerun over the unchunked run's cache: all hits,
             // same bytes again.
             let warm_jsonl = dir.join("warm.jsonl");
             let mut sink = JsonlSink::create(&warm_jsonl).expect("sink creates");
             let warm = ExploreSession::new(&spec)
                 .cache_boxed(kind.open(&serial_cache).expect("backend reopens"))
                 .chunk_size(chunk)
-                .pipelined(true)
                 .sink(&mut sink)
                 .run()
                 .expect("warm sweep runs");
@@ -148,7 +140,7 @@ fn the_pipeline_is_byte_identical_to_the_serial_path_on_every_backend() {
             assert_eq!(
                 std::fs::read(&warm_jsonl).unwrap(),
                 std::fs::read(&serial_jsonl).unwrap(),
-                "{kind} chunk {chunk}: warm pipelined bytes diverged"
+                "{kind} chunk {chunk}: warm chunked bytes diverged"
             );
             std::fs::remove_dir_all(&dir).ok();
         }
@@ -157,9 +149,9 @@ fn the_pipeline_is_byte_identical_to_the_serial_path_on_every_backend() {
 
 #[test]
 fn the_pipeline_is_byte_identical_under_injected_failures() {
-    // keep-going sweep with two failing points: the pipelined executor must
-    // emit the same JSONL prefix, record the same failures in the same order,
-    // and checkpoint the same shard lines as the serial one.
+    // keep-going sweep with two failing points: the pipelined shard-per-point
+    // run must emit the same JSONL and record the same failures in the same
+    // order as the unchunked one.
     let spec = SweepSpec::new("pipe-failures")
         .with_arch(vec![
             simphony_explore::ArchFamily::Tempo,
@@ -168,30 +160,25 @@ fn the_pipeline_is_byte_identical_under_injected_failures() {
         .with_core_dims(vec![6])
         .with_wavelengths(vec![1, 2]);
     let dir = scratch_dir("pipe-failures");
-    let run = |pipelined: bool, tag: &str| {
+    let run = |chunk: usize, tag: &str| {
         let jsonl = dir.join(format!("{tag}.jsonl"));
-        let ckpt = dir.join(format!("{tag}.ckpt"));
         let mut sink = JsonlSink::create(&jsonl).expect("sink creates");
         let outcome = ExploreSession::new(&spec)
-            .chunk_size(1)
+            .chunk_size(chunk)
             .keep_going()
-            .pipelined(pipelined)
-            .checkpoint(&ckpt)
             .sink(&mut sink)
             .run()
             .expect("keep-going sweep completes");
         drop(sink);
-        (jsonl, ckpt, outcome)
+        (jsonl, outcome)
     };
-    let (serial_jsonl, serial_ckpt, serial) = run(false, "serial");
-    let (piped_jsonl, piped_ckpt, piped) = run(true, "piped");
+    let (serial_jsonl, serial) = run(0, "serial");
+    let (piped_jsonl, piped) = run(1, "piped");
+    assert_eq!(serial.shards, 1);
+    assert_eq!(piped.shards, 4);
     assert_eq!(
         std::fs::read(&piped_jsonl).unwrap(),
         std::fs::read(&serial_jsonl).unwrap()
-    );
-    assert_eq!(
-        std::fs::read(&piped_ckpt).unwrap(),
-        std::fs::read(&serial_ckpt).unwrap()
     );
     assert_eq!(piped.failures.len(), serial.failures.len());
     for (a, b) in piped.failures.iter().zip(&serial.failures) {

@@ -8,8 +8,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use simphony_explore::{
-    ArchFamily, Checkpoint, ExploreSession, FaultInjector, FaultKind, FaultPlan, FaultyCache,
-    FaultySink, JsonlSink, RetryPolicy, SimCache, SweepSpec,
+    ArchFamily, Checkpoint, DirCache, ExploreSession, FaultInjector, FaultKind, FaultPlan,
+    FaultyCache, FaultySink, JsonlSink, RetryPolicy, SweepSpec,
 };
 
 /// A fresh scratch directory under the system temp dir.
@@ -50,7 +50,7 @@ fn retries_absorb_seeded_transient_cache_faults_without_changing_bytes() {
     let golden = golden_bytes(&small_spec(), &dir, 4);
     let spec = small_spec();
     let injector = FaultInjector::new(FaultPlan::new(0xC0FFEE).transient_error_rate(0.2));
-    let cache = SimCache::open(dir.join("cache")).expect("cache opens");
+    let cache = DirCache::open(dir.join("cache")).expect("cache opens");
     let faulty = FaultyCache::new(Box::new(cache.clone()), injector);
 
     let out = dir.join("faulted.jsonl");
@@ -87,7 +87,7 @@ fn an_exhausted_cache_write_degrades_but_the_record_still_reaches_the_sink() {
     // One shard of 12 points: ops 0..=11 are the cache puts. Fault op 3 with
     // no retry budget: that put must degrade, nothing else may change.
     let injector = FaultInjector::new(FaultPlan::new(1).with_fault(3, FaultKind::TransientError));
-    let cache = SimCache::open(dir.join("cache")).expect("cache opens");
+    let cache = DirCache::open(dir.join("cache")).expect("cache opens");
     let faulty = FaultyCache::new(Box::new(cache.clone()), injector);
 
     let out = dir.join("degraded.jsonl");
@@ -112,7 +112,7 @@ fn an_exhausted_cache_write_degrades_but_the_record_still_reaches_the_sink() {
 
     // Without keep-going the same exhaustion is a hard error.
     let injector = FaultInjector::new(FaultPlan::new(1).with_fault(3, FaultKind::TransientError));
-    let cache2 = SimCache::open(dir.join("cache2")).expect("cache opens");
+    let cache2 = DirCache::open(dir.join("cache2")).expect("cache opens");
     let faulty = FaultyCache::new(Box::new(cache2), injector);
     let mut sink = JsonlSink::create(dir.join("failfast.jsonl")).expect("sink creates");
     ExploreSession::new(&spec)
@@ -131,7 +131,7 @@ fn a_torn_cache_write_heals_as_a_miss_on_the_next_run() {
     // Tear cache put op 5 short: the entry publishes truncated JSON, the
     // record itself is unharmed.
     let injector = FaultInjector::new(FaultPlan::new(2).with_fault(5, FaultKind::ShortWrite));
-    let cache = SimCache::open(dir.join("cache")).expect("cache opens");
+    let cache = DirCache::open(dir.join("cache")).expect("cache opens");
     let faulty = FaultyCache::new(Box::new(cache.clone()), injector);
     let out = dir.join("torn.jsonl");
     let mut sink = JsonlSink::create(&out).expect("sink creates");

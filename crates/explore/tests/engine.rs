@@ -5,7 +5,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use simphony_explore::{
-    dominates, pareto_front, ArchFamily, CacheStats, ExploreSession, Objective, SimCache,
+    dominates, pareto_front, ArchFamily, CacheStats, DirCache, ExploreSession, Objective,
     SweepSpec, WorkloadSpec,
 };
 
@@ -98,7 +98,7 @@ fn records_are_byte_identical_across_thread_counts() {
 #[test]
 fn second_run_is_served_entirely_from_cache() {
     let dir = scratch_dir("cache");
-    let cache = SimCache::open(&dir).expect("cache opens");
+    let cache = DirCache::open(&dir).expect("cache opens");
     let spec = SweepSpec::new("cached")
         .with_wavelengths(vec![1, 2])
         .with_bitwidth(vec![4, 8]);

@@ -97,7 +97,6 @@ fn a_sink_dying_mid_shard_surfaces_the_error_without_checkpointing_that_shard() 
     let err = ExploreSession::new(&spec)
         .cache(cache.clone())
         .chunk_size(1)
-        .pipelined(true)
         .checkpoint(&ckpt)
         .sink(&mut sink)
         .run()
@@ -122,7 +121,6 @@ fn a_sink_dying_mid_shard_surfaces_the_error_without_checkpointing_that_shard() 
     let outcome = ExploreSession::new(&spec)
         .cache(cache)
         .chunk_size(1)
-        .pipelined(true)
         .checkpoint(&ckpt)
         .sink(&mut resumed)
         .run()
@@ -183,7 +181,6 @@ fn a_compute_stage_panic_propagates_without_poisoning_the_writer() {
         let _ = ExploreSession::new(&spec)
             .cache(cache.clone())
             .chunk_size(1)
-            .pipelined(true)
             .checkpoint(&ckpt)
             .sink(&mut sink)
             .run();
@@ -209,7 +206,6 @@ fn a_compute_stage_panic_propagates_without_poisoning_the_writer() {
     let outcome = ExploreSession::new(&spec)
         .cache(cache.inner)
         .chunk_size(1)
-        .pipelined(true)
         .checkpoint(&ckpt)
         .sink(&mut resumed)
         .run()
@@ -242,7 +238,6 @@ fn a_writer_stage_panic_propagates_and_never_checkpoints_the_shard() {
         let mut sink = PanickySink { accepts_left: 1 };
         let _ = ExploreSession::new(&spec)
             .chunk_size(1)
-            .pipelined(true)
             .checkpoint(&ckpt)
             .sink(&mut sink)
             .run();

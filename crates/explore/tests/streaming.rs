@@ -7,8 +7,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use simphony_explore::{
-    read_json, read_jsonl, to_csv, ArchFamily, CsvSink, ExploreSession, JsonFileSink, JsonlSink,
-    MultiSink, SimCache, SweepSpec, VecSink,
+    read_json, read_jsonl, to_csv, ArchFamily, CsvSink, DirCache, ExploreSession, JsonFileSink,
+    JsonlSink, MultiSink, SweepSpec, VecSink,
 };
 
 const GOLDEN_SPEC: &str = include_str!("golden/mixed_axis_spec.json");
@@ -93,7 +93,7 @@ fn streaming_sinks_match_their_batch_writers() {
 #[test]
 fn keep_going_sweeps_resume_through_the_cache() {
     let dir = scratch_dir("resume");
-    let cache = SimCache::open(&dir).expect("cache opens");
+    let cache = DirCache::open(&dir).expect("cache opens");
     // Four points; the two butterfly ones fail at artifact construction
     // (non-power-of-two core height), the two TeMPO ones succeed.
     let spec = SweepSpec::new("keep-going")
@@ -155,14 +155,14 @@ fn concurrent_sweeps_share_a_cache_directory_safely() {
         let dir_a = dir.clone();
         let dir_b = dir.clone();
         let a = scope.spawn(move || {
-            let cache = SimCache::open(&dir_a).expect("cache opens");
+            let cache = DirCache::open(&dir_a).expect("cache opens");
             ExploreSession::new(&spec_a)
                 .cache(cache)
                 .run_collect()
                 .expect("sweep A runs")
         });
         let b = scope.spawn(move || {
-            let cache = SimCache::open(&dir_b).expect("cache opens");
+            let cache = DirCache::open(&dir_b).expect("cache opens");
             ExploreSession::new(&spec_b)
                 .cache(cache)
                 .run_collect()
@@ -175,7 +175,7 @@ fn concurrent_sweeps_share_a_cache_directory_safely() {
 
     // Every record equals its from-scratch simulation regardless of which
     // process' write landed; the overlapping λ∈{1,2}@8b points dedupe.
-    let cache = SimCache::open(&dir).expect("cache opens");
+    let cache = DirCache::open(&dir).expect("cache opens");
     assert_eq!(cache.len().unwrap(), 5, "4 + 3 points with 2 shared");
     let spec_a2 = SweepSpec::new("shared-a")
         .with_wavelengths(vec![1, 2])

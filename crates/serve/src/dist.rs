@@ -1,18 +1,15 @@
 //! The distributed-sweep coordinator: fans shards out to socket-fed worker
 //! daemons and merges the results.
 //!
-//! `sweep --workers host:port,...` turns the lease protocol inside out: the
-//! shard geometry, the part payload and the strictly-ordered merge are
-//! identical to co-execution, but shards travel over the `compute-shard`
-//! request instead of a shared filesystem. The coordinator lazily expands
-//! the spec (only shard *ranges* go on the wire, never point lists), keeps
-//! one thread per worker address pumping a shared shard queue, and feeds the
-//! landed parts into the same [`merge_shard_source`] loop the co-execution
-//! primary uses — so output is byte-identical to a serial, pipelined or
-//! co-executed run at any worker count.
+//! `sweep --workers host:port,...` sends each worker shard *ranges* over the
+//! `compute-shard` request (the coordinator expands the spec lazily and
+//! never ships point lists), keeps one thread per worker address pumping a
+//! shared shard queue, and feeds the landed parts, strictly in expansion
+//! order, into [`merge_shard_source`] — the same shard bookkeeping the local
+//! executor runs — so output is byte-identical to a local run at any worker
+//! count.
 //!
-//! Fault handling mirrors the lease ledger's, with deadlines instead of
-//! lease files:
+//! Fault handling works by deadline:
 //!
 //! * a shard outstanding past [`DistConfig::shard_deadline_ms`] is
 //!   re-dispatched to whichever worker asks next (the original dispatch may
@@ -26,6 +23,9 @@
 //!   unassigned, or a worker rejects a request as a usage error (a
 //!   misconfigured fleet, e.g. a worker whose `--max-points` is below the
 //!   shard size — no amount of re-dispatch fixes that).
+//!
+//! The worker list is fixed for the whole sweep: a process cannot join a
+//! sweep that is already running.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Condvar, Mutex};
@@ -34,8 +34,8 @@ use std::time::{Duration, Instant};
 use serde_json::Value;
 use simphony_explore::{
     effective_shard_size, merge_shard_source, Checkpoint, ErrorPolicy, ExploreError, RecordSink,
-    Result, RetryPolicy, ShardCheckpoint, ShardProgress, ShardSource, StreamOptions, StreamOutcome,
-    SweepRecord, SweepSpec,
+    Result, RetryPolicy, ShardCheckpoint, ShardProgress, StreamOptions, StreamOutcome, SweepRecord,
+    SweepSpec,
 };
 
 use crate::protocol;
@@ -122,7 +122,7 @@ impl FleetState {
     }
 
     /// Blocks until there is a shard for this worker (queued, or outstanding
-    /// past its deadline — lease-style re-dispatch), or until the fleet is
+    /// past its deadline and due for re-dispatch), or until the fleet is
     /// finished/failed (`None`: the worker thread exits).
     fn take_shard(&self, deadline: Duration) -> Option<usize> {
         let mut fleet = self.lock();
@@ -225,31 +225,24 @@ impl FleetState {
         fleet.done = true;
         self.wakeup.notify_all();
     }
-}
 
-/// The fleet as a [`ShardSource`]: the merge loop blocks here until the
-/// workers land the shard it needs.
-struct FleetSource<'a> {
-    state: &'a FleetState,
-    workers: &'a [String],
-}
-
-impl ShardSource for FleetSource<'_> {
-    fn next_part(&mut self, shard: usize) -> Result<(ShardCheckpoint, Vec<SweepRecord>)> {
-        let mut fleet = self.state.lock();
+    /// Blocks until the workers land shard `shard`, then hands its part to
+    /// the merge loop; fails once the fleet cannot complete the sweep.
+    fn next_part(
+        &self,
+        shard: usize,
+        workers: &[String],
+    ) -> Result<(ShardCheckpoint, Vec<SweepRecord>)> {
+        let mut fleet = self.lock();
         loop {
             if let Some(part) = fleet.parts.remove(&shard) {
                 fleet.merged_below = shard + 1;
                 return Ok(part);
             }
             if let Some(reason) = fleet.failed.clone() {
-                return Err(ExploreError::connection_lost(
-                    self.workers.join(","),
-                    reason,
-                ));
+                return Err(ExploreError::connection_lost(workers.join(","), reason));
             }
             fleet = self
-                .state
                 .wakeup
                 .wait(fleet)
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -269,7 +262,7 @@ enum ShardError {
 
 /// Parses a `compute-shard` response: the `part` frame's meta, then exactly
 /// `meta.emitted` record lines, then a terminal summary (exit 0 or 3 —
-/// recorded point failures are carried in the meta, like a part file).
+/// recorded point failures are carried in the meta).
 fn parse_part(
     addr: &str,
     shard: usize,
@@ -441,11 +434,9 @@ pub fn distribute_sweep(
             let spec_json = &spec_json;
             scope.spawn(move || worker_loop(state, addr, spec_json, shard_size, total, config));
         }
-        let mut source = FleetSource {
-            state: &state,
-            workers: &config.workers,
-        };
-        let outcome = merge_shard_source(spec, options, sink, progress, checkpoint, &mut source);
+        let outcome = merge_shard_source(spec, options, sink, progress, checkpoint, &mut |shard| {
+            state.next_part(shard, &config.workers)
+        });
         // Merged (or failed): release any workers still waiting for work so
         // the scope can join.
         state.finish();

@@ -33,8 +33,8 @@
 //! runs [`check`] against one.
 //!
 //! The same daemon doubles as a **distributed-sweep worker**: the
-//! `compute-shard` request computes one shard and streams back the lease
-//! protocol's part-file payload, and [`distribute_sweep`] (the coordinator
+//! `compute-shard` request computes one shard and streams back its part
+//! (meta plus pre-rendered record lines), and [`distribute_sweep`] (the coordinator
 //! behind `sweep --workers host:port,...`) fans a sweep's shards out over a
 //! fleet of such daemons and merges the parts — strictly in expansion
 //! order — into normal sinks, byte-identical to a local run at any worker

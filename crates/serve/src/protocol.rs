@@ -40,12 +40,11 @@
 //! {"frame":"part","meta":{...ShardCheckpoint...}}          // `compute-shard` header
 //! ```
 //!
-//! A `compute-shard` response is the lease protocol's part-file payload on
-//! the wire: the `part` frame carries the shard-local
-//! [`ShardCheckpoint`](simphony_explore::ShardCheckpoint) meta (the part
-//! file's first line), followed by exactly `meta.emitted` bare record lines
-//! — the same bytes a part file holds after its meta line — and then the
-//! terminal summary:
+//! A `compute-shard` response carries one computed shard: the `part` frame
+//! holds the shard-local
+//! [`ShardCheckpoint`](simphony_explore::ShardCheckpoint) meta, followed by
+//! exactly `meta.emitted` bare record lines — the bytes a `--jsonl` output
+//! holds for those points — and then the terminal summary:
 //!
 //! ```text
 //! {"frame":"summary","kind":"sweep","exit_code":0,...}  // terminal, per request
@@ -121,8 +120,8 @@ pub enum Request {
     },
     /// Report result-cache and resident-artifact-store statistics.
     CacheStats,
-    /// Compute one sweep shard and stream back its part-file payload (the
-    /// `part` frame plus bare record lines) — the worker side of a
+    /// Compute one sweep shard and stream back its part (the `part` frame
+    /// plus bare record lines) — the worker side of a
     /// distributed sweep. Idempotent: shard bytes are a deterministic pure
     /// function of `(spec, shard range)`, so a coordinator may re-dispatch
     /// or replay the request freely.
@@ -359,10 +358,10 @@ pub fn cache_stats_summary_frame() -> String {
     format!("{{\"frame\":\"summary\",\"kind\":\"cache-stats\",\"exit_code\":{EXIT_OK}}}")
 }
 
-/// Header frame of a `compute-shard` response: the part-file meta line
-/// (shard-local [`ShardCheckpoint`](simphony_explore::ShardCheckpoint) as
-/// serialized JSON) wrapped in a frame. The `meta.emitted` record lines that
-/// follow it are the part file's body, byte for byte.
+/// Header frame of a `compute-shard` response: the shard-local
+/// [`ShardCheckpoint`](simphony_explore::ShardCheckpoint) meta as serialized
+/// JSON, wrapped in a frame. The `meta.emitted` record lines that follow it
+/// are the shard's `--jsonl` bytes.
 pub fn part_frame(meta_json: &str) -> String {
     format!("{{\"frame\":\"part\",\"meta\":{meta_json}}}")
 }
@@ -472,6 +471,9 @@ mod tests {
 
     #[test]
     fn usage_errors_carry_exit_code_2() {
+        // A `run` request nested 100,000 levels deep: a parse error, not a
+        // stack overflow that aborts the daemon.
+        let deep = format!("{{\"kind\":\"run\",\"spec\":{}}}", "[".repeat(100_000));
         for bad in [
             "not json",
             "[1,2]",
@@ -482,6 +484,7 @@ mod tests {
             "{\"kind\":\"pareto\"}",
             "{\"kind\":\"ping\",\"version\":99}",
             "{\"kind\":\"compute-shard\",\"spec\":{\"name\":\"s\"},\"shard\":0,\"start\":0}",
+            &deep,
         ] {
             let err = parse_request(bad).expect_err("must be rejected");
             assert_eq!(err.exit_code, EXIT_USAGE, "line: {bad}");

@@ -633,7 +633,7 @@ fn cache_stats_request(state: &ServerState, out: &mut BufWriter<TcpStream>) -> i
 /// The worker side of a distributed sweep: computes `start..end` of `spec`
 /// as shard `shard` through the shared [`compute_shard_part`] path (the
 /// daemon's resident artifact store and optional cache backend included) and
-/// streams the part-file payload back — a `part` frame carrying the
+/// streams the part back — a `part` frame carrying the
 /// shard-local meta, then the pre-rendered record lines, then the terminal
 /// summary. Byte determinism makes the request idempotent, so coordinators
 /// re-dispatch and replay it freely.
@@ -668,7 +668,7 @@ fn compute_shard_request(
     }
     let _lane = bulk_lane(state, points);
     // Cache writes retry locally before degrading; the coordinator only
-    // sees the degraded count in the meta, exactly like a lease worker.
+    // sees the degraded count in the meta.
     let computed = compute_shard_part(
         spec,
         state.cache.as_deref(),

@@ -420,15 +420,25 @@ fn malformed_requests_are_usage_errors_and_do_not_kill_the_connection() {
     let server = Server::start(ephemeral_config(), None).expect("server starts");
     let addr = server.local_addr().to_string();
 
+    // 100,000 levels of nesting used to overflow the connection thread's
+    // stack, aborting the whole daemon.
+    let deep = format!("{{\"kind\":\"run\",\"spec\":{}}}", "[".repeat(100_000));
     for bad in [
         "this is not json",
         "{\"kind\":\"warp\"}",
         "{\"kind\":\"ping\",\"version\":99}",
+        &deep,
     ] {
         let lines = request(&addr, bad, TIMEOUT).expect("round-trip");
-        assert_eq!(frame_field_u64(&lines[0], &["exit_code"]), 2, "line: {bad}");
+        assert!(lines[0].starts_with("{\"frame\":\"error\""), "{}", lines[0]);
+        assert_eq!(
+            frame_field_u64(&lines[0], &["exit_code"]),
+            2,
+            "line: {bad:.80}"
+        );
     }
-    // The server is still healthy after rejecting garbage.
+    // The server is still healthy after rejecting garbage: a ping on a new
+    // connection gets its pong.
     check(&addr, Duration::from_secs(5)).expect("health check succeeds");
 
     server.shutdown();

@@ -1,7 +1,7 @@
 //! Distributed-sweep tests: byte-identity with the local executors at any
 //! worker count, the `compute-shard` wire framing, worker-death recovery,
-//! fatal-vs-transient fleet errors, and the client's transparent reconnect
-//! contract.
+//! checkpoint resume, fatal-vs-transient fleet errors, and the client's
+//! transparent reconnect contract.
 
 use std::io::Read as _;
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -11,7 +11,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use simphony_explore::{
-    ExploreError, ExploreSession, JsonlSink, RetryPolicy, StreamOptions, SweepSpec, VecSink,
+    Checkpoint, CheckpointHeader, ExploreError, ExploreSession, JsonlSink, RecordSink, Result,
+    RetryPolicy, StreamOptions, SweepRecord, SweepSpec, VecSink,
 };
 use simphony_serve::{distribute_sweep, request, Client, DistConfig, ServeConfig, Server};
 
@@ -210,6 +211,122 @@ fn killing_a_worker_mid_sweep_recovers_with_byte_identical_output() {
 
     survivor.shutdown();
     survivor.join();
+}
+
+/// Forwards to a [`JsonlSink`] but fails on the accept after the first
+/// `accepts_left` — a coordinator whose output dies mid-shard.
+struct DyingSink {
+    inner: JsonlSink,
+    accepts_left: usize,
+}
+
+impl RecordSink for DyingSink {
+    fn accept(&mut self, record: SweepRecord) -> Result<()> {
+        if self.accepts_left == 0 {
+            return Err(ExploreError::cache("sink died mid-shard".to_string()));
+        }
+        self.accepts_left -= 1;
+        self.inner.accept(record)
+    }
+
+    fn flush_shard(&mut self) -> Result<()> {
+        self.inner.flush_shard()
+    }
+
+    fn sync(&mut self) -> Result<()> {
+        self.inner.sync()
+    }
+
+    fn finish(&mut self) -> Result<()> {
+        self.inner.finish()
+    }
+}
+
+#[test]
+fn a_checkpointed_distributed_sweep_resumes_without_recomputing() {
+    let dir = scratch_dir("checkpoint");
+    let spec = fleet_spec();
+    let oracle = jsonl_oracle(&spec, &dir);
+    let workers: Vec<Server> = (0..2).map(|_| start_worker()).collect();
+    let config = fleet_config(&workers);
+    // Chunk 4: six shards of four points.
+    let options = StreamOptions::chunked(4).keep_going();
+    let header = CheckpointHeader::for_sweep(&spec, &options, 24);
+    let ckpt = dir.join("sweep.ckpt");
+    let path = dir.join("out.jsonl");
+
+    // The sink dies on its 13th accept, the first record of shard 3: the
+    // run fails with that error and leaves shards 0-2 checkpointed.
+    let mut sink = DyingSink {
+        inner: JsonlSink::create(&path).expect("sink creates"),
+        accepts_left: 12,
+    };
+    let mut checkpoint = Checkpoint::resume(&ckpt, &header).expect("checkpoint opens");
+    let err = distribute_sweep(
+        &spec,
+        &options,
+        &config,
+        &mut sink,
+        &mut |_| {},
+        Some(&mut checkpoint),
+    )
+    .expect_err("the dying sink fails the sweep");
+    assert!(err.to_string().contains("sink died mid-shard"), "{err}");
+    drop(sink);
+    assert_eq!(checkpoint.completed().len(), 3);
+    assert_eq!(checkpoint.emitted(), 12);
+
+    // Resuming dispatches only shards 3-5 and completes the file.
+    let mut sink = JsonlSink::append(&path).expect("sink appends");
+    let mut checkpoint = Checkpoint::resume(&ckpt, &header).expect("checkpoint reopens");
+    let outcome = distribute_sweep(
+        &spec,
+        &options,
+        &config,
+        &mut sink,
+        &mut |_| {},
+        Some(&mut checkpoint),
+    )
+    .expect("the resumed sweep completes");
+    drop(sink);
+    assert_eq!(outcome.skipped_points, 12);
+    assert_eq!(outcome.stats.hits + outcome.stats.misses, 12);
+    assert_eq!(
+        std::fs::read_to_string(&path).expect("output reads"),
+        oracle,
+        "the resumed file diverged from the local bytes"
+    );
+
+    // Against the full checkpoint nothing is dispatched: the fleet is gone,
+    // so any dispatch would fail the sweep.
+    for worker in workers {
+        worker.shutdown();
+        worker.join();
+    }
+    let dead_fleet = DistConfig {
+        retry: RetryPolicy::none(),
+        ..config
+    };
+    let mut sink = JsonlSink::append(&path).expect("sink appends");
+    let mut checkpoint = Checkpoint::resume(&ckpt, &header).expect("checkpoint reopens");
+    let outcome = distribute_sweep(
+        &spec,
+        &options,
+        &dead_fleet,
+        &mut sink,
+        &mut |_| {},
+        Some(&mut checkpoint),
+    )
+    .expect("a fully checkpointed sweep replays");
+    drop(sink);
+    assert_eq!(outcome.skipped_points, 24);
+    assert_eq!(outcome.stats.hits + outcome.stats.misses, 0);
+    assert_eq!(
+        std::fs::read_to_string(&path).expect("output reads"),
+        oracle,
+        "a replayed sweep must append nothing"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
