@@ -1,6 +1,6 @@
-//! Process-level failure tests of the CLI: exit codes and diverging-resume
-//! diagnostics. The crash drill — a worker killed mid-shard by an injected
-//! abort — lives with the fleet tests in `dist.rs`.
+//! Process-level failure tests of the CLI: exit codes, diverging-resume
+//! diagnostics and hostile input files. The crash drill — a worker killed
+//! mid-shard by an injected abort — lives with the fleet tests in `dist.rs`.
 
 use std::path::{Path, PathBuf};
 use std::process::Output;
@@ -179,5 +179,121 @@ fn resume_names_each_diverging_checkpoint_field() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("spec fingerprint"), "{stderr}");
     assert!(stderr.contains("total points"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_deeply_nested_spec_file_is_an_error_not_a_stack_overflow() {
+    let dir = scratch_dir("deep-spec");
+    let deep = dir.join("deep.json");
+    std::fs::write(&deep, "[".repeat(200_000)).expect("spec writes");
+    // `exit_code` panics if the process died on a signal (an abort).
+    let out = run(&["sweep", "--spec", deep.to_str().unwrap(), "--quiet"]);
+    assert_eq!(exit_code(&out), 1, "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("nesting deeper than 128 levels"),
+        "{stderr}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn deeply_nested_checkpoint_records_and_fault_plan_files_are_errors() {
+    let dir = scratch_dir("deep-files");
+    let spec = write_spec(&dir, &small_spec("deep-files"));
+    let spec = spec.to_str().unwrap();
+    let deep = dir.join("deep.json");
+    std::fs::write(&deep, "[".repeat(200_000) + "\n").expect("file writes");
+    let deep = deep.to_str().unwrap();
+    let jsonl = dir.join("records.jsonl");
+    let cases: [(&[&str], &str); 3] = [
+        (
+            &[
+                "resume",
+                "--spec",
+                spec,
+                "--checkpoint",
+                deep,
+                "--jsonl",
+                jsonl.to_str().unwrap(),
+                "--quiet",
+            ],
+            "not a checkpoint header",
+        ),
+        (
+            &[
+                "pareto",
+                "--records",
+                deep,
+                "--objectives",
+                "energy,latency",
+            ],
+            "nesting deeper than 128 levels",
+        ),
+        (
+            &["sweep", "--spec", spec, "--fault-plan", deep, "--quiet"],
+            "nesting deeper than 128 levels",
+        ),
+    ];
+    for (args, needle) in cases {
+        let out = run(args);
+        assert_eq!(exit_code(&out), 1, "{args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(needle), "{args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn removed_lease_and_pipeline_options_are_usage_errors() {
+    let dir = scratch_dir("removed-options");
+    let spec = write_spec(&dir, &small_spec("removed-options"));
+    let spec = spec.to_str().unwrap();
+    let ckpt = dir.join("sweep.ckpt");
+    let jsonl = dir.join("records.jsonl");
+    let lease = dir.join("lease");
+    let cases: [(&[&str], &str); 5] = [
+        (&["join", "--lease-dir", lease.to_str().unwrap()], "`join`"),
+        (
+            &[
+                "sweep",
+                "--spec",
+                spec,
+                "--lease-dir",
+                lease.to_str().unwrap(),
+            ],
+            "`--lease-dir`",
+        ),
+        (
+            &["sweep", "--spec", spec, "--lease-timeout", "5"],
+            "`--lease-timeout`",
+        ),
+        (
+            &["sweep", "--spec", spec, "--no-pipeline"],
+            "`--no-pipeline`",
+        ),
+        (
+            &[
+                "resume",
+                "--spec",
+                spec,
+                "--checkpoint",
+                ckpt.to_str().unwrap(),
+                "--jsonl",
+                jsonl.to_str().unwrap(),
+                "--no-pipeline",
+            ],
+            "`--no-pipeline`",
+        ),
+    ];
+    for (args, needle) in cases {
+        let out = run(args);
+        assert_eq!(exit_code(&out), 2, "{args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(needle), "{args:?}: {stderr}");
+    }
+    // Refused before any work: nothing was written.
+    assert!(!lease.exists() && !ckpt.exists() && !jsonl.exists());
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1597,4 +1597,46 @@ mod tests {
         assert!(err.to_string().contains("refusing to migrate"));
         fs::remove_dir_all(&dir).ok();
     }
+
+    #[test]
+    fn deeply_nested_entries_degrade_to_misses_on_every_backend() {
+        let records = sample_records(2);
+        let (good, hostile) = (&records[0], &records[1]);
+        let key = content_key(&hostile.point);
+        let deep = "[".repeat(200_000);
+        for kind in BackendKind::ALL {
+            let dir = scratch(&format!("deep-{}", kind.name()));
+            {
+                let cache = kind.open(&dir).unwrap();
+                cache.put(good).unwrap();
+                cache.flush().unwrap();
+            }
+            // A hostile entry where the second record's entry would live.
+            match kind {
+                BackendKind::Dir => fs::write(dir.join(format!("{key}.json")), &deep).unwrap(),
+                BackendKind::Sharded => {
+                    let bucket = dir.join(&key[..2]);
+                    fs::create_dir_all(&bucket).unwrap();
+                    fs::write(bucket.join(format!("{key}.json")), &deep).unwrap();
+                }
+                BackendKind::Packed => fs::write(
+                    dir.join("seg-9999999999-00000001.pack"),
+                    format!("{{\"key\":\"{key}\",\"record\":{deep}\n"),
+                )
+                .unwrap(),
+            }
+            let cache = kind.open(&dir).unwrap();
+            assert_eq!(cache.get(&good.point).as_ref(), Some(good), "{kind:?}");
+            assert_eq!(cache.get(&hostile.point), None, "{kind:?}");
+            let mut scanned = Vec::new();
+            cache
+                .scan(&mut |key, _| {
+                    scanned.push(key);
+                    Ok(())
+                })
+                .unwrap();
+            assert_eq!(scanned, vec![content_key(&good.point)], "{kind:?}");
+            fs::remove_dir_all(&dir).ok();
+        }
+    }
 }

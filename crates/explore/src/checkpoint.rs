@@ -456,4 +456,35 @@ mod tests {
         );
         fs::remove_file(&path).ok();
     }
+
+    #[test]
+    fn deeply_nested_lines_are_malformed_not_a_crash() {
+        let deep = "[".repeat(200_000);
+        // As the header: not a checkpoint file.
+        let path = scratch("deep-header");
+        fs::write(&path, format!("{deep}\n")).unwrap();
+        let err = Checkpoint::load(&path).unwrap_err();
+        assert!(err.to_string().contains("not a checkpoint header"), "{err}");
+        fs::remove_file(&path).ok();
+
+        // As a shard line: it ends the valid prefix like a torn tail, and
+        // resume truncates it away.
+        let path = scratch("deep-shard");
+        fs::remove_file(&path).ok();
+        let spec = SweepSpec::new("deep").with_wavelengths(vec![1, 2, 3, 4]);
+        let header = header_for(&spec);
+        {
+            let mut ckpt = Checkpoint::resume(&path, &header).unwrap();
+            ckpt.record_shard(shard_line(0, 1)).unwrap();
+        }
+        let prefix_len = fs::metadata(&path).unwrap().len();
+        let mut text = fs::read_to_string(&path).unwrap();
+        text.push_str(&deep);
+        text.push('\n');
+        fs::write(&path, &text).unwrap();
+        let ckpt = Checkpoint::resume(&path, &header).unwrap();
+        assert_eq!(ckpt.completed(), &[shard_line(0, 1)][..]);
+        assert_eq!(fs::metadata(&path).unwrap().len(), prefix_len);
+        fs::remove_file(&path).ok();
+    }
 }

@@ -254,4 +254,164 @@ mod tests {
         .unwrap_err();
         assert!(err.to_string().contains("shard 1 metadata"), "{err}");
     }
+
+    /// Every shard of `spec` at `chunk` points per shard, computed as parts.
+    fn parts_of(spec: &SweepSpec, chunk: usize) -> Vec<ComputedPart> {
+        let total = spec.point_count().unwrap();
+        let artifacts = std::sync::Mutex::new(ArtifactStore::default());
+        (0..total.div_ceil(chunk))
+            .map(|shard| {
+                let points = shard * chunk..((shard + 1) * chunk).min(total);
+                compute_shard_part(spec, None, RetryPolicy::none(), shard, points, &artifacts)
+                    .unwrap()
+            })
+            .collect()
+    }
+
+    /// A fresh checkpoint for `spec` under `options`, and its path.
+    fn fresh_checkpoint(
+        tag: &str,
+        spec: &SweepSpec,
+        options: &StreamOptions,
+    ) -> (std::path::PathBuf, Checkpoint) {
+        let path = std::env::temp_dir().join(format!(
+            "simphony-dispatch-{tag}-{}.ckpt",
+            std::process::id()
+        ));
+        std::fs::remove_file(&path).ok();
+        let header = crate::checkpoint::CheckpointHeader::for_sweep(
+            spec,
+            options,
+            spec.point_count().unwrap(),
+        );
+        let checkpoint = Checkpoint::resume(&path, &header).unwrap();
+        (path, checkpoint)
+    }
+
+    #[test]
+    fn merge_replays_checkpointed_shards_without_fetching_them() {
+        let spec = SweepSpec::new("seam-replay").with_wavelengths(vec![1, 2, 4, 8]);
+        let options = StreamOptions::chunked(2).keep_going();
+        let parts = parts_of(&spec, 2);
+        let direct = crate::ExploreSession::new(&spec).run_collect().unwrap();
+        let (path, mut checkpoint) = fresh_checkpoint("replay", &spec, &options);
+        // An interrupted merge got as far as shard 0.
+        checkpoint.record_shard(parts[0].meta.clone()).unwrap();
+
+        let mut asked = Vec::new();
+        let mut seen = Vec::new();
+        let mut sink = VecSink::new();
+        let outcome = merge_shard_source(
+            &spec,
+            &options,
+            &mut sink,
+            &mut |p| seen.push((p.shard, p.skipped)),
+            Some(&mut checkpoint),
+            &mut |shard| {
+                asked.push(shard);
+                Ok(parsed(&parts[shard]))
+            },
+        )
+        .unwrap();
+        assert_eq!(
+            asked,
+            vec![1],
+            "the recorded shard is replayed, not fetched"
+        );
+        assert_eq!(seen, vec![(0, 2), (1, 0)]);
+        assert_eq!(outcome.skipped_points, 2);
+        assert_eq!(outcome.stats.misses, 2, "only shard 1 was merged");
+        assert_eq!(sink.records(), &direct.records[2..]);
+        // The part carries shard-local `emitted`; the checkpoint, cumulative.
+        assert_eq!(parts[1].meta.emitted, 2);
+        assert_eq!(checkpoint.completed()[1].emitted, 4);
+
+        // Against the full checkpoint nothing is fetched or emitted.
+        let mut sink = VecSink::new();
+        let outcome = merge_shard_source(
+            &spec,
+            &options,
+            &mut sink,
+            &mut |_| {},
+            Some(&mut checkpoint),
+            &mut |_| unreachable!("every shard is recorded"),
+        )
+        .unwrap();
+        assert_eq!(outcome.skipped_points, 4);
+        assert!(sink.records().is_empty());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_failed_fetch_stops_the_merge_with_the_merged_prefix_checkpointed() {
+        let spec = SweepSpec::new("seam-fetch-fails")
+            .with_wavelengths(vec![1, 2, 4])
+            .with_bitwidth(vec![4, 8]);
+        let options = StreamOptions::chunked(2).keep_going();
+        let parts = parts_of(&spec, 2);
+        let (path, mut checkpoint) = fresh_checkpoint("fetch-fails", &spec, &options);
+        let mut asked = Vec::new();
+        let mut sink = VecSink::new();
+        let err = merge_shard_source(
+            &spec,
+            &options,
+            &mut sink,
+            &mut |_| {},
+            Some(&mut checkpoint),
+            &mut |shard| {
+                asked.push(shard);
+                if shard == 1 {
+                    return Err(ExploreError::connection_lost("w:1", "fleet gone"));
+                }
+                Ok(parsed(&parts[shard]))
+            },
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("fleet gone"), "{err}");
+        assert_eq!(asked, vec![0, 1], "nothing is fetched past the failure");
+        assert_eq!(sink.records().len(), 2, "shard 0 reached the sink");
+        drop(checkpoint);
+        let (_, recorded) = Checkpoint::load(&path).unwrap();
+        assert_eq!(recorded, vec![parts[0].meta.clone()]);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn both_executors_refuse_a_checkpoint_with_more_shards_than_the_sweep() {
+        let spec = SweepSpec::new("seam-bound").with_wavelengths(vec![1, 2, 4, 8]);
+        // Written at one point per shard: four shards recorded.
+        let per_point = StreamOptions::chunked(1).keep_going();
+        let (path, mut checkpoint) = fresh_checkpoint("bound", &spec, &per_point);
+        for (shard, part) in parts_of(&spec, 1).into_iter().enumerate() {
+            let mut meta = part.meta;
+            meta.emitted = shard + 1;
+            checkpoint.record_shard(meta).unwrap();
+        }
+        // Handed to a run of two shards, it is refused before any work.
+        let options = StreamOptions::chunked(2).keep_going();
+        let expected = "checkpoint records 4 shards but the sweep only has 2";
+        let err = merge_shard_source(
+            &spec,
+            &options,
+            &mut VecSink::new(),
+            &mut |_| {},
+            Some(&mut checkpoint),
+            &mut |_| unreachable!("a refused merge fetches nothing"),
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains(expected), "{err}");
+        let artifacts = std::sync::Mutex::new(ArtifactStore::default());
+        let err = crate::runner::execute(
+            &spec,
+            None,
+            &options,
+            &mut VecSink::new(),
+            &mut |_| {},
+            Some(&mut checkpoint),
+            &artifacts,
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains(expected), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
 }

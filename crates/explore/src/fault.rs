@@ -385,6 +385,21 @@ mod tests {
     }
 
     #[test]
+    fn a_deeply_nested_plan_file_is_an_error() {
+        let path = std::env::temp_dir().join(format!(
+            "simphony-fault-deep-plan-{}.json",
+            std::process::id()
+        ));
+        std::fs::write(&path, "{\"seed\":".to_string() + &"[".repeat(200_000)).unwrap();
+        let err = FaultPlan::load(&path).unwrap_err();
+        assert!(
+            err.to_string().contains("nesting deeper than 128 levels"),
+            "{err}"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn out_of_range_rates_are_rejected() {
         assert!(FaultPlan::new(0)
             .transient_error_rate(1.5)

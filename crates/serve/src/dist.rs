@@ -443,3 +443,198 @@ pub fn distribute_sweep(
         outcome
     })
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use simphony_explore::{compute_shard_part, ArtifactStore};
+
+    fn spec() -> SweepSpec {
+        SweepSpec::new("dist-parse").with_wavelengths(vec![1, 2, 4, 8])
+    }
+
+    /// The lines a worker answers for shard `shard` of `spec`, at two points
+    /// per shard.
+    fn response(spec: &SweepSpec, shard: usize) -> Vec<String> {
+        let artifacts = Mutex::new(ArtifactStore::default());
+        let points = shard * 2..shard * 2 + 2;
+        let part = compute_shard_part(spec, None, RetryPolicy::none(), shard, points, &artifacts)
+            .expect("shard computes");
+        let meta = serde_json::to_string(&part.meta).expect("meta serializes");
+        let mut lines = vec![protocol::part_frame(&meta)];
+        lines.extend(part.body.lines().map(str::to_string));
+        lines.push(protocol::compute_shard_summary_frame(
+            shard,
+            part.meta.emitted,
+            part.meta.failures.len(),
+        ));
+        lines
+    }
+
+    /// The message of a transient shard error; panics on anything else.
+    fn transient(
+        result: std::result::Result<(ShardCheckpoint, Vec<SweepRecord>), ShardError>,
+    ) -> String {
+        match result {
+            Err(ShardError::Transient(e)) => e.to_string(),
+            Err(ShardError::Fatal(message)) => panic!("expected a transient error: {message}"),
+            Ok((meta, _)) => panic!("expected a transient error, got shard {}", meta.shard),
+        }
+    }
+
+    fn meta(shard: usize) -> ShardCheckpoint {
+        ShardCheckpoint {
+            shard,
+            points: 1,
+            hits: 0,
+            misses: 1,
+            emitted: 0,
+            failures: Vec::new(),
+            cache_degraded: 0,
+        }
+    }
+
+    #[test]
+    fn a_part_response_parses_into_its_meta_and_records() {
+        let spec = spec();
+        let Ok((meta, records)) = parse_part("w:1", 1, response(&spec, 1)) else {
+            panic!("a well-formed part parses");
+        };
+        assert_eq!((meta.shard, meta.points, meta.emitted), (1, 2, 2));
+        let direct = simphony_explore::ExploreSession::new(&spec)
+            .run_collect()
+            .expect("sweep runs");
+        assert_eq!(records.as_slice(), &direct.records[2..4]);
+    }
+
+    #[test]
+    fn usage_rejections_are_fatal_and_other_error_frames_transient() {
+        let usage = vec![protocol::error_frame(
+            protocol::EXIT_USAGE,
+            "shard exceeds --max-points",
+        )];
+        match parse_part("w:1", 3, usage) {
+            Err(ShardError::Fatal(message)) => {
+                assert!(
+                    message.contains("worker `w:1` rejected shard 3"),
+                    "{message}"
+                );
+                assert!(message.contains("--max-points"), "{message}");
+            }
+            _ => panic!("a usage rejection is fatal"),
+        }
+        let hard = vec![protocol::error_frame(protocol::EXIT_HARD, "disk full")];
+        let message = transient(parse_part("w:1", 3, hard));
+        assert!(
+            message.contains("worker error on shard 3: disk full"),
+            "{message}"
+        );
+    }
+
+    #[test]
+    fn malformed_part_responses_are_transient_errors() {
+        let spec = spec();
+        let good = response(&spec, 1);
+        let summary = good.last().expect("summary").clone();
+        let cases: Vec<(Vec<String>, &str)> = vec![
+            (Vec::new(), "empty compute-shard response"),
+            (vec![summary.clone()], "carries no part frame"),
+            (good[1..].to_vec(), "not a part frame"),
+            (
+                vec!["{\"frame\":\"part\"}".to_string(), summary.clone()],
+                "unreadable meta",
+            ),
+            (
+                vec![protocol::part_frame("\"not a meta\""), summary.clone()],
+                "unreadable meta",
+            ),
+            (response(&spec, 0), "answered shard 1 with shard 0 metadata"),
+            (
+                [&good[..2], &good[3..]].concat(),
+                "streamed 1 records but its meta promises 2",
+            ),
+            (
+                [&good[..2], &["{\"energy_uj\":".to_string()], &good[3..]].concat(),
+                "bad record line in shard 1",
+            ),
+        ];
+        for (lines, needle) in cases {
+            let message = transient(parse_part("w:1", 1, lines));
+            assert!(message.contains(needle), "missing `{needle}` in: {message}");
+        }
+    }
+
+    #[test]
+    fn deeply_nested_part_lines_are_transient_errors() {
+        let spec = spec();
+        let mut lines = response(&spec, 1);
+        lines[0] = protocol::part_frame(&"[".repeat(100_000));
+        let message = transient(parse_part("w:1", 1, lines));
+        assert!(message.contains("unreadable meta"), "{message}");
+
+        let mut lines = response(&spec, 1);
+        lines[1] = "[".repeat(100_000);
+        let message = transient(parse_part("w:1", 1, lines));
+        assert!(
+            message.contains("nesting deeper than 128 levels"),
+            "{message}"
+        );
+    }
+
+    #[test]
+    fn duplicate_and_late_parts_are_dropped() {
+        let workers = ["w:1".to_string()];
+        let state = FleetState::new(0..2, 1);
+        assert_eq!(state.take_shard(Duration::from_secs(60)), Some(0));
+        // Mark the first arrival so the two can be told apart.
+        let mut first = meta(0);
+        first.hits = 1;
+        state.land(0, first.clone(), Vec::new());
+        state.land(0, meta(0), Vec::new());
+        let (merged, _) = state.next_part(0, &workers).expect("shard 0 landed");
+        assert_eq!(merged, first, "first landed wins");
+        // A late re-dispatch of the merged shard, landing or failing, leaves
+        // no trace.
+        state.land(0, meta(0), Vec::new());
+        state.requeue(0);
+        let fleet = state.lock();
+        assert!(fleet.parts.is_empty());
+        assert_eq!(fleet.queue, BTreeSet::from([1]));
+    }
+
+    #[test]
+    fn an_overdue_shard_is_redispatched_until_it_lands() {
+        let state = FleetState::new(0..1, 2);
+        // Dispatched with a zero deadline: overdue at once.
+        assert_eq!(state.take_shard(Duration::ZERO), Some(0));
+        assert_eq!(
+            state.take_shard(Duration::from_secs(60)),
+            Some(0),
+            "re-dispatched"
+        );
+        state.land(0, meta(0), Vec::new());
+        // Nothing queued or in flight: the next taker is released.
+        assert_eq!(state.take_shard(Duration::from_secs(60)), None);
+    }
+
+    #[test]
+    fn the_last_worker_leaving_with_shards_unlanded_fails_the_merge() {
+        let workers = ["w:1".to_string(), "w:2".to_string()];
+        let lost = ExploreError::connection_lost("w:2", "connection refused");
+        let state = FleetState::new(0..2, 2);
+        state.worker_gone("w:1", &lost);
+        assert!(state.lock().failed.is_none(), "one worker still pumps");
+        state.worker_gone("w:2", &lost);
+        let err = state.next_part(0, &workers).unwrap_err().to_string();
+        assert!(err.contains("every worker is gone"), "{err}");
+        assert!(err.contains("(`w:2`) failed with"), "{err}");
+        assert_eq!(state.take_shard(Duration::from_secs(60)), None);
+
+        // Once every shard has landed, losing the fleet is harmless.
+        let state = FleetState::new(0..1, 1);
+        assert_eq!(state.take_shard(Duration::from_secs(60)), Some(0));
+        state.land(0, meta(0), Vec::new());
+        state.worker_gone("w:1", &lost);
+        assert!(state.next_part(0, &workers).is_ok());
+    }
+}

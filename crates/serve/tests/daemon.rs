@@ -446,6 +446,40 @@ fn malformed_requests_are_usage_errors_and_do_not_kill_the_connection() {
 }
 
 #[test]
+fn deeply_nested_requests_of_every_kind_leave_the_connection_serving() {
+    let dir = scratch_dir("deep");
+    let spec = small_spec();
+    let server = Server::start(ephemeral_config(), None).expect("server starts");
+    let addr = server.local_addr().to_string();
+    let mut client = Client::connect(&addr, TIMEOUT).expect("connects");
+
+    let deep = "[".repeat(100_000);
+    for kind in ["run", "sweep", "compute-shard", "pareto"] {
+        let line = format!("{{\"kind\":\"{kind}\",\"spec\":{deep}}}");
+        let lines = client.send(&line).expect("round-trip");
+        assert_eq!(lines.len(), 1, "one error frame for `{kind}`");
+        assert!(lines[0].starts_with("{\"frame\":\"error\""), "{}", lines[0]);
+        assert!(
+            lines[0].contains("nesting deeper than 128 levels"),
+            "{}",
+            lines[0]
+        );
+        assert_eq!(frame_field_u64(&lines[0], &["exit_code"]), 2, "{kind}");
+    }
+
+    // The same connection still does real work, byte-identically.
+    let lines = client
+        .send(&sweep_request_line(&spec, 2))
+        .expect("sweep runs");
+    let (records, frames) = split_response(&lines);
+    assert_eq!(records.join("\n") + "\n", jsonl_oracle(&spec, &dir));
+    assert_eq!(frame_field_u64(frames.last().unwrap(), &["exit_code"]), 0);
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
 fn an_unsupported_bitwidth_is_a_usage_error_and_the_connection_lives_on() {
     let server = Server::start(ephemeral_config(), None).expect("server starts");
     let addr = server.local_addr().to_string();
