@@ -7,7 +7,8 @@
 //!   validation GEMM, VGG-8 and BERT-Base;
 //! * `run_sweep/*` — the sweep engine end to end: cold (no result cache, so
 //!   artifact extraction and generation are on the clock) and warm (every
-//!   point served from a populated `DirCache`).
+//!   point served from a populated `PackedSegmentCache`, through one shared
+//!   handle).
 //!
 //! The committed `BENCH_sweep.json` trajectory is produced by the
 //! `bench_sweep` binary, which runs the same fig9-style sweep; see
@@ -15,13 +16,14 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use std::sync::Arc;
 
 use simphony::{MappingPlan, Simulator};
 use simphony_bench::{
     default_params, fig9_style_sweep, lightening_transformer_params, tempo_accelerator,
     validation_gemm_workload, SEED,
 };
-use simphony_explore::{DirCache, ExploreSession};
+use simphony_explore::{ExploreSession, PackedSegmentCache};
 use simphony_onn::{models, ModelWorkload, PruningConfig, QuantConfig};
 use simphony_units::BitWidth;
 
@@ -79,16 +81,16 @@ fn bench_run_sweep(c: &mut Criterion) {
     });
 
     let dir = std::env::temp_dir().join(format!("simphony-bench-pipeline-{}", std::process::id()));
-    let cache = DirCache::open(&dir).expect("cache opens");
+    let cache = Arc::new(PackedSegmentCache::open(&dir).expect("cache opens"));
     ExploreSession::new(&spec)
-        .cache(cache.clone())
+        .cache(Arc::clone(&cache))
         .run_collect()
         .expect("warm-up sweep runs");
     group.bench_function("fig9_style_warm", |b| {
         b.iter(|| {
             black_box(
                 ExploreSession::new(&spec)
-                    .cache(cache.clone())
+                    .cache(Arc::clone(&cache))
                     .run_collect()
                     .expect("warm sweep runs"),
             )

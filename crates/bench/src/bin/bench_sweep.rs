@@ -10,9 +10,9 @@
 //!   therefore conservative);
 //! * `shared_cold` — an `ExploreSession` with no result cache: distinct
 //!   artifacts are extracted once and shared across the batch;
-//! * `shared_warm`/`sharded_warm`/`packed_warm` — the session re-run against
-//!   a populated cache of each [`CacheBackend`] flavour, so every point is a
-//!   cache hit; the spread between them is the per-backend lookup cost;
+//! * `packed_warm` — the session re-run against a populated result cache,
+//!   opened fresh per repetition the way a CLI re-run opens it, so every
+//!   point is a cache hit: index build at open plus the lookups;
 //! * `pipelined_cold`/`pipelined_warm` — the session in shards of 16 points
 //!   with no cache (cold) or a populated one (warm), on the two-stage
 //!   pipeline every multi-shard sweep runs: shard N+1 simulates while
@@ -62,8 +62,8 @@ use simphony_onn::SplitMix64;
 
 use simphony_explore::StreamOptions;
 use simphony_explore::{
-    pareto_front, simulate_point, CacheBackend, DirCache, ExploreSession, Objective,
-    PackedSegmentCache, RecordSink, RetryPolicy, ShardedDirCache, SweepPoint, SweepRecord, VecSink,
+    pareto_front, simulate_point, ExploreSession, Objective, PackedSegmentCache, RecordSink,
+    RetryPolicy, SweepPoint, SweepRecord, VecSink,
 };
 use simphony_serve::{distribute_sweep, request, Client, DistConfig, ServeConfig, Server};
 use simphony_traffic::{
@@ -300,20 +300,24 @@ fn main() {
     });
     eprintln!("session, 2-worker dist + worker kill:  {dist_worker_kill_recover_ms:.1} ms");
 
-    // Warm re-runs against each cache backend: the same 64 points, all hits.
-    let warm_run = |label: &str, open: &dyn Fn(&std::path::Path) -> Box<dyn CacheBackend>| {
+    // Warm re-runs: the same 64 points, all hits, through a cache handle
+    // opened fresh per repetition the way a CLI re-run opens it. `chunk` 0
+    // is one shard; 16 runs the pipeline, with shard N+1's batched parallel
+    // lookups overlapping the (cheap) drain of shard N.
+    let warm_run = |label: &str, chunk: usize| {
         let dir = std::env::temp_dir().join(format!(
             "simphony-bench-sweep-{label}-{}",
             std::process::id()
         ));
         std::fs::create_dir_all(&dir).expect("bench cache dir creates");
         ExploreSession::new(&spec)
-            .cache_boxed(open(&dir))
+            .cache(PackedSegmentCache::open(&dir).expect("cache opens"))
             .run_collect()
             .expect("cache warm-up sweep runs");
         let ms = time_ms_reps(WARM_REPS, || {
             let outcome = ExploreSession::new(&spec)
-                .cache_boxed(open(&dir))
+                .cache(PackedSegmentCache::open(&dir).expect("cache opens"))
+                .chunk_size(chunk)
                 .run_collect()
                 .expect("warm sweep runs");
             assert_eq!(outcome.stats.misses, 0, "warm run must be all hits");
@@ -321,32 +325,7 @@ fn main() {
         std::fs::remove_dir_all(&dir).ok();
         ms
     };
-
-    // Warm pipelined: shards of 16, batched parallel lookups, lookup of
-    // shard N+1 overlapping the (cheap) drain of shard N.
-    let pipelined_warm_ms = {
-        let dir = std::env::temp_dir().join(format!(
-            "simphony-bench-sweep-pipelined-warm-{}",
-            std::process::id()
-        ));
-        std::fs::create_dir_all(&dir).expect("bench cache dir creates");
-        ExploreSession::new(&spec)
-            .cache(DirCache::open(&dir).expect("cache opens"))
-            .run_collect()
-            .expect("cache warm-up sweep runs");
-        let ms = time_ms_reps(WARM_REPS, || {
-            let mut sink = VecSink::new();
-            let outcome = ExploreSession::new(&spec)
-                .cache(DirCache::open(&dir).expect("cache opens"))
-                .chunk_size(16)
-                .sink(&mut sink)
-                .run()
-                .expect("warm pipelined sweep runs");
-            assert_eq!(outcome.stats.misses, 0, "warm run must be all hits");
-        });
-        std::fs::remove_dir_all(&dir).ok();
-        ms
-    };
+    let pipelined_warm_ms = warm_run("pipelined-warm", 16);
     eprintln!("session, warm 16-pt shards (pipelined): {pipelined_warm_ms:.1} ms");
 
     // Slow-sink overlap: every shard flush costs a fixed sleep, and each
@@ -432,18 +411,8 @@ fn main() {
         assert_eq!(records.len(), 16, "serving sweep covers every point");
     });
     eprintln!("serving sweep, cold (16 points):       {serve_sweep_cold_ms:.1} ms");
-    let shared_warm_ms = warm_run("dir", &|d| {
-        Box::new(DirCache::open(d).expect("cache opens"))
-    });
-    eprintln!("session, warm (DirCache hits):         {shared_warm_ms:.1} ms");
-    let sharded_warm_ms = warm_run("sharded", &|d| {
-        Box::new(ShardedDirCache::open(d).expect("cache opens"))
-    });
-    eprintln!("session, warm (ShardedDirCache hits):  {sharded_warm_ms:.1} ms");
-    let packed_warm_ms = warm_run("packed", &|d| {
-        Box::new(PackedSegmentCache::open(d).expect("cache opens"))
-    });
-    eprintln!("session, warm (PackedSegmentCache):    {packed_warm_ms:.1} ms");
+    let packed_warm_ms = warm_run("packed-warm", 0);
+    eprintln!("session, warm (cache hits):            {packed_warm_ms:.2} ms");
 
     // Daemon round-trips: a resident `simphony-serve` daemon keeps extracted
     // workloads and built accelerators alive across requests, so a warm `run`
@@ -531,7 +500,7 @@ fn main() {
     eprintln!("cold-cache speedup vs per-point engine: {speedup:.2}x");
 
     let json = format!(
-        "{{\n  \"sweep\": \"{name}\",\n  \"points\": {points},\n  \"distinct_workloads\": {distinct_workloads},\n  \"distinct_architectures\": {distinct_architectures},\n  \"reps\": {reps},\n  \"per_point_cold_ms\": {per_point_ms:.3},\n  \"shared_cold_ms\": {shared_cold_ms:.3},\n  \"pipelined_cold_ms\": {pipelined_cold_ms:.3},\n  \"retry_overhead_clean_ms\": {retry_overhead_clean_ms:.3},\n  \"dist_2worker_cold_ms\": {dist_2worker_cold_ms:.3},\n  \"dist_worker_kill_recover_ms\": {dist_worker_kill_recover_ms:.3},\n  \"shared_warm_ms\": {shared_warm_ms:.3},\n  \"sharded_warm_ms\": {sharded_warm_ms:.3},\n  \"packed_warm_ms\": {packed_warm_ms:.3},\n  \"pipelined_warm_ms\": {pipelined_warm_ms:.3},\n  \"slow_sink_flush_ms\": {SLOW_FLUSH_MS},\n  \"slow_sink_overlap_ms\": {slow_sink_overlap_ms:.3},\n  \"slow_sink_overlap_chunk8_ms\": {slow_sink_overlap_chunk8_ms:.3},\n  \"pareto_100k_ms\": {pareto_100k_ms:.3},\n  \"serve_sim_10k_reqs_ms\": {serve_sim_10k_reqs_ms:.3},\n  \"serve_sweep_cold_ms\": {serve_sweep_cold_ms:.3},\n  \"serve_cold_run_ms\": {serve_cold_run_ms:.3},\n  \"serve_warm_request_ms\": {serve_warm_request_ms:.3},\n  \"serve_warm_speedup\": {serve_warm_speedup:.3},\n  \"serve_batched_sweep_ms\": {serve_batched_sweep_ms:.3},\n  \"cold_speedup\": {speedup:.3}\n}}\n",
+        "{{\n  \"sweep\": \"{name}\",\n  \"points\": {points},\n  \"distinct_workloads\": {distinct_workloads},\n  \"distinct_architectures\": {distinct_architectures},\n  \"reps\": {reps},\n  \"per_point_cold_ms\": {per_point_ms:.3},\n  \"shared_cold_ms\": {shared_cold_ms:.3},\n  \"pipelined_cold_ms\": {pipelined_cold_ms:.3},\n  \"retry_overhead_clean_ms\": {retry_overhead_clean_ms:.3},\n  \"dist_2worker_cold_ms\": {dist_2worker_cold_ms:.3},\n  \"dist_worker_kill_recover_ms\": {dist_worker_kill_recover_ms:.3},\n  \"packed_warm_ms\": {packed_warm_ms:.3},\n  \"pipelined_warm_ms\": {pipelined_warm_ms:.3},\n  \"slow_sink_flush_ms\": {SLOW_FLUSH_MS},\n  \"slow_sink_overlap_ms\": {slow_sink_overlap_ms:.3},\n  \"slow_sink_overlap_chunk8_ms\": {slow_sink_overlap_chunk8_ms:.3},\n  \"pareto_100k_ms\": {pareto_100k_ms:.3},\n  \"serve_sim_10k_reqs_ms\": {serve_sim_10k_reqs_ms:.3},\n  \"serve_sweep_cold_ms\": {serve_sweep_cold_ms:.3},\n  \"serve_cold_run_ms\": {serve_cold_run_ms:.3},\n  \"serve_warm_request_ms\": {serve_warm_request_ms:.3},\n  \"serve_warm_speedup\": {serve_warm_speedup:.3},\n  \"serve_batched_sweep_ms\": {serve_batched_sweep_ms:.3},\n  \"cold_speedup\": {speedup:.3}\n}}\n",
         name = spec.name,
         points = points.len(),
         reps = REPS,

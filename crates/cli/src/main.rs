@@ -3,7 +3,7 @@
 //! Subcommands:
 //!
 //! * `sweep` — run a declarative design-space sweep from a JSON spec file,
-//!   with result caching (`--cache` + `--backend dir|sharded|packed`) and
+//!   with result caching (`--cache DIR`, a directory of packed segments) and
 //!   JSON/CSV/JSONL outputs; `--chunk-size` streams the sweep in shards
 //!   (bounded memory, per-shard flushes and progress — shard N+1 simulates
 //!   while shard N persists),
@@ -13,9 +13,8 @@
 //! * `resume` — continue an interrupted `sweep --checkpoint` run: completed
 //!   shards are skipped, recorded failures are not re-attempted, and a
 //!   `--jsonl` output is truncated to its durable prefix and appended to;
-//! * `cache` — maintenance verbs: `cache stats` (entry count, bytes,
-//!   hit/miss of the last checkpointed session) and `cache migrate`
-//!   (round-trip a cache between backends with content-key verification);
+//! * `cache stats` — entry count, bytes, segments and shadowed lines of a
+//!   result cache, plus the hit/miss of the last checkpointed session;
 //! * `serve-sim` — run a queueing-level serving simulation from a
 //!   `ServingSpec` JSON file: an accelerator fleet under a request stream,
 //!   swept over offered load, fleet size, queue discipline and batch size,
@@ -54,10 +53,10 @@ use std::sync::Arc;
 use clap::{Arg, ArgAction, Command};
 
 use simphony_explore::{
-    migrate_cache, pareto_front, read_records, read_records_as, to_csv, write_json, ArchFamily,
-    BackendKind, CacheBackend, Checkpoint, CheckpointHeader, CsvRecord, CsvSink, ExploreError,
-    ExploreSession, FaultInjector, FaultPlan, FaultyCache, FaultySink, JsonFileSink, JsonlSink,
-    MultiSink, Objective, RetryPolicy, ShardProgress, StreamOptions, StreamOutcome, SweepSpec,
+    pareto_front, read_records, read_records_as, to_csv, write_json, ArchFamily, CacheBackend,
+    Checkpoint, CheckpointHeader, CsvRecord, CsvSink, ExploreError, ExploreSession, FaultInjector,
+    FaultPlan, FaultyCache, FaultySink, JsonFileSink, JsonlSink, MultiSink, Objective,
+    PackedSegmentCache, RetryPolicy, ShardProgress, StreamOptions, StreamOutcome, SweepSpec,
     VecSink, WorkloadSpec,
 };
 use simphony_serve::{
@@ -79,14 +78,6 @@ fn objective_list() -> String {
         .map(|o| o.name())
         .collect::<Vec<_>>()
         .join(", ")
-}
-
-fn backend_arg(help: &str) -> Arg {
-    Arg::new("backend")
-        .long("backend")
-        .value_name("KIND")
-        .default_value("auto")
-        .help(help.to_string())
 }
 
 fn retries_arg() -> Arg {
@@ -145,14 +136,9 @@ fn cli() -> Command {
                         .value_name("FILE")
                         .help("Additionally write records as JSON Lines (flushed per shard)"),
                 )
-                .arg(
-                    Arg::new("cache")
-                        .long("cache")
-                        .value_name("DIR")
-                        .help("Content-hash result cache directory (created if missing)"),
-                )
-                .arg(backend_arg(
-                    "Cache backend: dir, sharded, packed, or auto (detect from the directory)",
+                .arg(Arg::new("cache").long("cache").value_name("DIR").help(
+                    "Content-hash result cache: a directory of packed segment files \
+                             (created if missing)",
                 ))
                 .arg(
                     Arg::new("chunk-size")
@@ -243,9 +229,6 @@ fn cli() -> Command {
                         .value_name("DIR")
                         .help("Result cache directory the interrupted sweep used"),
                 )
-                .arg(backend_arg(
-                    "Cache backend: dir, sharded, packed, or auto (detect from the directory)",
-                ))
                 .arg(retries_arg())
                 .arg(fault_plan_arg())
                 .arg(
@@ -261,7 +244,10 @@ fn cli() -> Command {
                 .subcommand_required(true)
                 .subcommand(
                     Command::new("stats")
-                        .about("Print entry count, bytes, and last-session hit/miss counters")
+                        .about(
+                            "Print entry count, bytes, segments, shadowed lines and \
+                             last-session hit/miss counters",
+                        )
                         .arg(
                             Arg::new("dir")
                                 .long("dir")
@@ -269,9 +255,6 @@ fn cli() -> Command {
                                 .required(true)
                                 .help("Cache directory"),
                         )
-                        .arg(backend_arg(
-                            "Cache backend: dir, sharded, packed, or auto (detect)",
-                        ))
                         .arg(
                             Arg::new("checkpoint")
                                 .long("checkpoint")
@@ -280,38 +263,6 @@ fn cli() -> Command {
                                     "Checkpoint file to read the last session's hit/miss \
                                      counters from",
                                 ),
-                        ),
-                )
-                .subcommand(
-                    Command::new("migrate")
-                        .about("Copy every entry from one cache to another, verifying content keys")
-                        .arg(
-                            Arg::new("from")
-                                .long("from")
-                                .value_name("DIR")
-                                .required(true)
-                                .help("Source cache directory"),
-                        )
-                        .arg(
-                            Arg::new("from-backend")
-                                .long("from-backend")
-                                .value_name("KIND")
-                                .default_value("auto")
-                                .help("Source backend: dir, sharded, packed, or auto (detect)"),
-                        )
-                        .arg(
-                            Arg::new("to")
-                                .long("to")
-                                .value_name("DIR")
-                                .required(true)
-                                .help("Target cache directory (created if missing)"),
-                        )
-                        .arg(
-                            Arg::new("to-backend")
-                                .long("to-backend")
-                                .value_name("KIND")
-                                .required(true)
-                                .help("Target backend: dir, sharded, or packed"),
                         ),
                 ),
         )
@@ -410,11 +361,8 @@ fn cli() -> Command {
                              otherwise",
                 ))
                 .arg(Arg::new("cache").long("cache").value_name("DIR").help(
-                    "Share this content-hash result cache across every connection \
-                             (created if missing)",
-                ))
-                .arg(backend_arg(
-                    "Cache backend: dir, sharded, packed, or auto (detect from the directory)",
+                    "Share this content-hash result cache (a directory of packed segment \
+                             files, created if missing) across every connection",
                 ))
                 .arg(
                     Arg::new("max-points")
@@ -493,12 +441,9 @@ fn cli() -> Command {
                         ),
                 )
                 .arg(Arg::new("cache").long("cache").value_name("DIR").help(
-                    "Worker-local content-hash result cache (created if missing); \
-                             with --workers the cache lives on each worker, not the \
-                             coordinator",
-                ))
-                .arg(backend_arg(
-                    "Cache backend: dir, sharded, packed, or auto (detect from the directory)",
+                    "Worker-local content-hash result cache (a directory of packed \
+                             segment files, created if missing); with --workers the cache \
+                             lives on each worker, not the coordinator",
                 ))
                 .arg(
                     Arg::new("max-points")
@@ -613,7 +558,6 @@ fn main() -> ExitCode {
         Some(("resume", sub)) => cmd_resume(sub),
         Some(("cache", sub)) => match sub.subcommand() {
             Some(("stats", sub)) => cmd_cache_stats(sub).map(|()| ExitCode::SUCCESS),
-            Some(("migrate", sub)) => cmd_cache_migrate(sub).map(|()| ExitCode::SUCCESS),
             _ => unreachable!("subcommand_required guarantees a match"),
         },
         Some(("serve-sim", sub)) => cmd_serve_sim(sub).map(|()| ExitCode::SUCCESS),
@@ -656,15 +600,14 @@ fn load_fault_injector(
 
 /// Wraps an opened cache in the fault injector, when one is active.
 fn maybe_faulty_cache(
-    cache: Option<Box<dyn CacheBackend>>,
+    cache: Option<PackedSegmentCache>,
     injector: Option<&Arc<FaultInjector>>,
 ) -> Option<Box<dyn CacheBackend>> {
-    match (cache, injector) {
-        (Some(inner), Some(injector)) => {
-            Some(Box::new(FaultyCache::new(inner, Arc::clone(injector))))
-        }
-        (cache, _) => cache,
-    }
+    let cache: Box<dyn CacheBackend> = Box::new(cache?);
+    Some(match injector {
+        Some(injector) => Box::new(FaultyCache::new(cache, Arc::clone(injector))),
+        None => cache,
+    })
 }
 
 fn load_spec(matches: &clap::ArgMatches) -> Result<SweepSpec, ExploreError> {
@@ -674,40 +617,12 @@ fn load_spec(matches: &clap::ArgMatches) -> Result<SweepSpec, ExploreError> {
     Ok(serde_json::from_str(&text)?)
 }
 
-/// Opens the cache named by `--cache`/`--dir` and `--backend`, resolving
-/// `auto` by inspecting the directory layout.
-fn open_backend(
-    dir: &str,
-    kind_arg: Option<String>,
-) -> Result<Box<dyn CacheBackend>, ExploreError> {
-    let kind = resolve_backend_kind(dir, kind_arg)?;
-    kind.open(dir)
-}
-
-fn resolve_backend_kind(dir: &str, kind_arg: Option<String>) -> Result<BackendKind, ExploreError> {
-    match kind_arg.as_deref() {
-        None | Some("auto") => Ok(BackendKind::detect(dir)),
-        Some(name) => {
-            let kind = BackendKind::parse(name).ok_or_else(|| {
-                ExploreError::invalid_spec(format!(
-                    "unknown cache backend `{name}` (expected dir, sharded, packed, or auto)"
-                ))
-            })?;
-            // Opening an existing cache with the wrong backend would miss
-            // every entry, re-simulate the sweep, and fork the directory into
-            // a mixed layout whose original entries become invisible.
-            if let Some(existing) = BackendKind::detect_existing(dir) {
-                if existing != kind {
-                    return Err(ExploreError::cache(format!(
-                        "`{dir}` already holds a {existing}-layout cache; pass \
-                         `--backend {existing}` (or `auto`), or convert it with \
-                         `simphony-cli cache migrate`"
-                    )));
-                }
-            }
-            Ok(kind)
-        }
-    }
+/// Opens the result cache named by `--cache`, if the flag was given.
+fn open_cache(matches: &clap::ArgMatches) -> Result<Option<PackedSegmentCache>, ExploreError> {
+    matches
+        .get_one::<String>("cache")
+        .map(PackedSegmentCache::open)
+        .transpose()
 }
 
 fn print_shard_progress(shard: &ShardProgress) {
@@ -828,11 +743,7 @@ fn cmd_sweep(matches: &clap::ArgMatches) -> Result<ExitCode, ExploreError> {
     }
 
     let injector = load_fault_injector(matches)?;
-    let cache = match matches.get_one::<String>("cache") {
-        Some(dir) => Some(open_backend(&dir, matches.get_one("backend"))?),
-        None => None,
-    };
-    let cache = maybe_faulty_cache(cache, injector.as_ref());
+    let cache = maybe_faulty_cache(open_cache(matches)?, injector.as_ref());
     let chunk_size: usize = matches.get_one("chunk-size").expect("has default");
     let quiet = matches.get_flag("quiet");
 
@@ -1066,11 +977,7 @@ fn cmd_resume(matches: &clap::ArgMatches) -> Result<ExitCode, ExploreError> {
     let mut sink = JsonlSink::append(&jsonl)?;
 
     let injector = load_fault_injector(matches)?;
-    let cache = match matches.get_one::<String>("cache") {
-        Some(dir) => Some(open_backend(&dir, matches.get_one("backend"))?),
-        None => None,
-    };
-    let cache = maybe_faulty_cache(cache, injector.as_ref());
+    let cache = maybe_faulty_cache(open_cache(matches)?, injector.as_ref());
 
     let mut session = ExploreSession::new(&spec)
         .chunk_size(header.shard_size)
@@ -1156,18 +1063,12 @@ fn truncate_jsonl_prefix(path: &str, keep: usize) -> Result<(), ExploreError> {
 
 fn cmd_cache_stats(matches: &clap::ArgMatches) -> Result<(), ExploreError> {
     let dir: String = matches.get_one("dir").expect("required");
-    let kind = resolve_backend_kind(&dir, matches.get_one("backend"))?;
-    let cache = kind.open(&dir)?;
-    let stats = cache.stats()?;
-    println!("cache `{dir}` ({kind} backend)");
+    let stats = PackedSegmentCache::open(&dir)?.stats()?;
+    println!("cache `{dir}`");
     println!("  entries: {}", stats.entries);
     println!("  bytes:   {}", stats.bytes);
-    // Segment-file count and shadowed (dead, superseded) keys only exist in
-    // the packed layout; the directory backends report both as 0.
-    if stats.segments > 0 || stats.shadowed > 0 || kind == BackendKind::Packed {
-        println!("  segments: {}", stats.segments);
-        println!("  shadowed: {}", stats.shadowed);
-    }
+    println!("  segments: {}", stats.segments);
+    println!("  shadowed: {}", stats.shadowed);
     if let Some(checkpoint) = matches.get_one::<String>("checkpoint") {
         let (_, completed) = Checkpoint::load(checkpoint)?;
         let hits: usize = completed.iter().map(|s| s.hits).sum();
@@ -1177,24 +1078,6 @@ fn cmd_cache_stats(matches: &clap::ArgMatches) -> Result<(), ExploreError> {
             completed.len()
         );
     }
-    Ok(())
-}
-
-fn cmd_cache_migrate(matches: &clap::ArgMatches) -> Result<(), ExploreError> {
-    let from_dir: String = matches.get_one("from").expect("required");
-    let to_dir: String = matches.get_one("to").expect("required");
-    let from_kind = resolve_backend_kind(&from_dir, matches.get_one("from-backend"))?;
-    let to_kind_name: String = matches.get_one("to-backend").expect("required");
-    // The same mixed-layout guard as `resolve_backend_kind`: migrating into a
-    // directory that already holds another layout would orphan its entries.
-    let to_kind = resolve_backend_kind(&to_dir, Some(to_kind_name))?;
-    let from = from_kind.open(&from_dir)?;
-    let to = to_kind.open(&to_dir)?;
-    let moved = migrate_cache(from.as_ref(), to.as_ref())?;
-    println!(
-        "migrated {moved} entries: `{from_dir}` ({from_kind}) -> `{to_dir}` ({to_kind}), \
-         all content keys verified"
-    );
     Ok(())
 }
 
@@ -1265,10 +1148,7 @@ fn cmd_serve(matches: &clap::ArgMatches) -> Result<(), ExploreError> {
         return Ok(());
     }
 
-    let cache: Option<Arc<dyn CacheBackend>> = match matches.get_one::<String>("cache") {
-        Some(dir) => Some(Arc::from(open_backend(&dir, matches.get_one("backend"))?)),
-        None => None,
-    };
+    let cache = open_cache(matches)?.map(|cache| Arc::new(cache) as Arc<dyn CacheBackend>);
     let artifact_entries: usize = matches.get_one("artifact-entries").expect("has default");
     let artifact_bytes: u64 = matches.get_one("artifact-bytes").expect("has default");
     let config = ServeConfig {
@@ -1310,18 +1190,13 @@ fn cmd_serve(matches: &clap::ArgMatches) -> Result<(), ExploreError> {
 /// injector so chaos drills can kill or degrade one worker of a fleet.
 fn cmd_worker(matches: &clap::ArgMatches) -> Result<(), ExploreError> {
     let injector = load_fault_injector(matches)?;
-    let cache = match matches.get_one::<String>("cache") {
-        Some(dir) => Some(open_backend(&dir, matches.get_one("backend"))?),
-        None => {
-            if injector.is_some() {
-                return Err(ExploreError::invalid_spec(
-                    "--fault-plan without --cache has nothing to inject into: a \
-                     worker's fault schedule lives in its cache's durability chain",
-                ));
-            }
-            None
-        }
-    };
+    let cache = open_cache(matches)?;
+    if cache.is_none() && injector.is_some() {
+        return Err(ExploreError::invalid_spec(
+            "--fault-plan without --cache has nothing to inject into: a worker's fault \
+             schedule lives in its cache's durability chain",
+        ));
+    }
     let cache: Option<Arc<dyn CacheBackend>> =
         maybe_faulty_cache(cache, injector.as_ref()).map(Arc::from);
     let config = ServeConfig {

@@ -189,8 +189,6 @@ fn worker_killed_mid_shard_by_abort_fault_recovers_byte_identically() {
     let mut victim = Worker::start(&[
         "--cache",
         victim_cache.to_str().unwrap(),
-        "--backend",
-        "packed",
         "--fault-plan",
         plan.to_str().unwrap(),
     ]);
@@ -259,14 +257,7 @@ fn worker_killed_mid_shard_by_abort_fault_recovers_byte_identically() {
 
     // Satellite check: the dead worker's packed cache reports only durable
     // entries — the batch staged when the abort hit must not be counted.
-    let stats = run(&[
-        "cache",
-        "stats",
-        "--dir",
-        victim_cache.to_str().unwrap(),
-        "--backend",
-        "packed",
-    ]);
+    let stats = run(&["cache", "stats", "--dir", victim_cache.to_str().unwrap()]);
     assert_eq!(stats.status.code(), Some(0), "{stats:?}");
     let stdout = String::from_utf8(stats.stdout).expect("utf8 stats");
     let entries: usize = stdout

@@ -253,7 +253,9 @@ fn removed_lease_and_pipeline_options_are_usage_errors() {
     let ckpt = dir.join("sweep.ckpt");
     let jsonl = dir.join("records.jsonl");
     let lease = dir.join("lease");
-    let cases: [(&[&str], &str); 5] = [
+    let cache = dir.join("cache");
+    let cache = cache.to_str().unwrap();
+    let cases: [(&[&str], &str); 11] = [
         (&["join", "--lease-dir", lease.to_str().unwrap()], "`join`"),
         (
             &[
@@ -286,6 +288,56 @@ fn removed_lease_and_pipeline_options_are_usage_errors() {
             ],
             "`--no-pipeline`",
         ),
+        // One cache format: no backend choice, no migration between formats.
+        (
+            &[
+                "sweep",
+                "--spec",
+                spec,
+                "--cache",
+                cache,
+                "--backend",
+                "packed",
+            ],
+            "`--backend`",
+        ),
+        (
+            &[
+                "resume",
+                "--spec",
+                spec,
+                "--checkpoint",
+                ckpt.to_str().unwrap(),
+                "--cache",
+                cache,
+                "--backend",
+                "dir",
+            ],
+            "`--backend`",
+        ),
+        (
+            &["cache", "stats", "--dir", cache, "--backend", "auto"],
+            "`--backend`",
+        ),
+        (
+            &["serve", "--cache", cache, "--backend", "sharded"],
+            "`--backend`",
+        ),
+        (
+            &["worker", "--cache", cache, "--backend", "packed"],
+            "`--backend`",
+        ),
+        (
+            &[
+                "cache",
+                "migrate",
+                "--from",
+                cache,
+                "--to",
+                lease.to_str().unwrap(),
+            ],
+            "`migrate`",
+        ),
     ];
     for (args, needle) in cases {
         let out = run(args);
@@ -295,5 +347,46 @@ fn removed_lease_and_pipeline_options_are_usage_errors() {
     }
     // Refused before any work: nothing was written.
     assert!(!lease.exists() && !ckpt.exists() && !jsonl.exists());
+    assert!(!Path::new(cache).exists());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_cache_in_a_retired_layout_is_refused_with_exit_one() {
+    let dir = scratch_dir("retired-layout");
+    let spec = write_spec(&dir, &small_spec("retired-layout"));
+    let spec = spec.to_str().unwrap();
+    // The flat layout held one `<key>.json` file per entry; the fan-out
+    // layout the same files under two-hex-digit subdirectories.
+    let flat = dir.join("flat");
+    std::fs::create_dir_all(&flat).unwrap();
+    std::fs::write(flat.join("0123456789abcdef.json"), "{}").unwrap();
+    let fanned = dir.join("fanned");
+    std::fs::create_dir_all(fanned.join("01")).unwrap();
+    let flat = flat.to_str().unwrap();
+    let fanned = fanned.to_str().unwrap();
+    let jsonl = dir.join("records.jsonl");
+    let jsonl = jsonl.to_str().unwrap();
+    let cases: [&[&str]; 5] = [
+        &["sweep", "--spec", spec, "--cache", flat, "--jsonl", jsonl],
+        &["sweep", "--spec", spec, "--cache", fanned, "--jsonl", jsonl],
+        &["cache", "stats", "--dir", flat],
+        &["serve", "--addr", "127.0.0.1:0", "--cache", fanned],
+        &["worker", "--cache", flat],
+    ];
+    for args in cases {
+        let out = run(args);
+        assert_eq!(exit_code(&out), 1, "{args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("cache error")
+                && stderr.contains("retired")
+                && stderr.contains("delete"),
+            "{args:?}: {stderr}"
+        );
+    }
+    // Nothing was simulated into, or written next to, the old entries.
+    assert_eq!(std::fs::read_dir(flat).unwrap().count(), 1);
+    assert_eq!(std::fs::read_dir(fanned).unwrap().count(), 1);
     std::fs::remove_dir_all(&dir).ok();
 }

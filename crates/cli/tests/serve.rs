@@ -1,6 +1,6 @@
 //! Process-level daemon tests: spawn the real `simphony-cli serve` binary,
 //! drive it over TCP, and hold its responses byte-identical to the
-//! equivalent CLI invocations across all three cache backends.
+//! equivalent CLI invocations, cold and warm through a result cache.
 
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
@@ -115,51 +115,42 @@ fn record_lines(lines: &[String]) -> String {
 }
 
 #[test]
-fn daemon_sweeps_match_cli_bytes_across_all_three_backends() {
-    for backend in ["dir", "sharded", "packed"] {
-        let dir = scratch_dir(&format!("bytes-{backend}"));
-        let spec = small_spec("served");
-        let spec_path = write_spec(&dir, &spec);
+fn daemon_sweeps_match_cli_bytes_cold_and_warm() {
+    let dir = scratch_dir("bytes");
+    let spec = small_spec("served");
+    let spec_path = write_spec(&dir, &spec);
 
-        // The CLI oracle: a solo sweep with its own cache of the same kind.
-        let jsonl = dir.join("cli.jsonl");
-        let out = run(&[
-            "sweep",
-            "--spec",
-            spec_path.to_str().unwrap(),
-            "--jsonl",
-            jsonl.to_str().unwrap(),
-            "--cache",
-            dir.join("cli-cache").to_str().unwrap(),
-            "--backend",
-            backend,
-            "--quiet",
-        ]);
-        assert_eq!(out.status.code(), Some(0), "{out:?}");
-        let oracle = std::fs::read_to_string(&jsonl).expect("oracle reads");
+    // The CLI oracle: a solo sweep with its own cache.
+    let jsonl = dir.join("cli.jsonl");
+    let out = run(&[
+        "sweep",
+        "--spec",
+        spec_path.to_str().unwrap(),
+        "--jsonl",
+        jsonl.to_str().unwrap(),
+        "--cache",
+        dir.join("cli-cache").to_str().unwrap(),
+        "--quiet",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let oracle = std::fs::read_to_string(&jsonl).expect("oracle reads");
 
-        let daemon = Daemon::start(&[
-            "--cache",
-            dir.join("daemon-cache").to_str().unwrap(),
-            "--backend",
-            backend,
-        ]);
-        let line = format!(
-            "{{\"kind\":\"sweep\",\"spec\":{},\"chunk_size\":3}}",
-            serde_json::to_string(&spec).expect("spec serializes"),
+    let daemon = Daemon::start(&["--cache", dir.join("daemon-cache").to_str().unwrap()]);
+    let line = format!(
+        "{{\"kind\":\"sweep\",\"spec\":{},\"chunk_size\":3}}",
+        serde_json::to_string(&spec).expect("spec serializes"),
+    );
+    // Cold pass simulates and populates the daemon cache; warm pass is
+    // served from it. Both must reproduce the CLI bytes exactly.
+    for pass in ["cold", "warm"] {
+        let lines = request(&daemon.addr, &line, TIMEOUT).expect("daemon sweep");
+        assert_eq!(
+            record_lines(&lines),
+            oracle,
+            "daemon {pass} pass diverged from CLI bytes"
         );
-        // Cold pass simulates and populates the daemon cache; warm pass is
-        // served from it. Both must reproduce the CLI bytes exactly.
-        for pass in ["cold", "warm"] {
-            let lines = request(&daemon.addr, &line, TIMEOUT).expect("daemon sweep");
-            assert_eq!(
-                record_lines(&lines),
-                oracle,
-                "{backend} daemon {pass} pass diverged from CLI bytes"
-            );
-        }
-        daemon.shutdown();
     }
+    daemon.shutdown();
 }
 
 #[test]

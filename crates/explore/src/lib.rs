@@ -19,20 +19,16 @@
 //!   one shard remains, pushes completed [`SweepRecord`]s into a
 //!   [`RecordSink`] (in-memory, pretty JSON, JSONL, CSV — flushed per shard)
 //!   in a deterministic order so result files are byte-identical at any
-//!   thread count, any chunk size and any cache backend, optionally keeps
+//!   thread count, any chunk size, cold or warm, optionally keeps
 //!   going past failing points, and records per-shard
 //!   outcomes in a sidecar [checkpoint](ExploreSession::checkpoint) so
 //!   interrupted sweeps resume without re-simulating completed shards or
 //!   re-attempting recorded failures;
-//! * [`CacheBackend`] — pluggable content-hash result storage with three
-//!   implementations: [`DirCache`] (one JSON file per entry, the classic
-//!   layout), [`ShardedDirCache`] (256-way fan-out by first key byte, for
-//!   million-entry sweeps) and [`PackedSegmentCache`] (append-only segment
-//!   files plus an in-memory index); batch lookups run in parallel
-//!   ([`CacheBackend::get_batch`]) and fresh records are stored from their
-//!   pre-rendered JSON ([`CacheBackend::put_serialized`]);
-//!   [`migrate_cache`] round-trips a cache between backends with content-key
-//!   verification;
+//! * [`PackedSegmentCache`] — the content-hash result cache: append-only
+//!   segment files plus an in-memory index, behind the [`CacheBackend`]
+//!   trait; batch lookups run in parallel ([`CacheBackend::get_batch`]) and
+//!   fresh records are stored from their pre-rendered JSON
+//!   ([`CacheBackend::put_serialized`]);
 //! * [`pareto_front`] — non-dominated-point extraction over configurable
 //!   minimization [`Objective`]s, generic over any [`ParetoRecord`] type
 //!   (sweep records with energy/latency/power/area/EDP, `simphony-traffic`
@@ -44,8 +40,8 @@
 //!   silently joining every frontier.
 //!
 //! The `simphony-cli` binary exposes all of this as `sweep` (with
-//! `--chunk-size`, `--jsonl`, `--keep-going`, `--backend`, `--checkpoint`),
-//! `resume`, `cache stats`/`cache migrate`, `pareto` and `run` subcommands;
+//! `--chunk-size`, `--jsonl`, `--keep-going`, `--cache`, `--checkpoint`),
+//! `resume`, `cache stats`, `pareto` and `run` subcommands;
 //! see `EXPERIMENTS.md` at the repository root.
 //!
 //! # Examples
@@ -100,10 +96,7 @@ mod session;
 mod sink;
 mod spec;
 
-pub use cache::{
-    content_key, migrate_cache, BackendKind, BackendStats, CacheBackend, CacheStats, DirCache,
-    PackedSegmentCache, ShardedDirCache,
-};
+pub use cache::{content_key, BackendStats, CacheBackend, CacheStats, PackedSegmentCache};
 pub use checkpoint::{
     spec_fingerprint, Checkpoint, CheckpointFailure, CheckpointHeader, ShardCheckpoint,
 };
@@ -135,8 +128,6 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<SweepSpec>();
         assert_send_sync::<SweepRecord>();
-        assert_send_sync::<DirCache>();
-        assert_send_sync::<ShardedDirCache>();
         assert_send_sync::<PackedSegmentCache>();
         assert_send_sync::<Box<dyn CacheBackend>>();
         assert_send_sync::<ExploreError>();

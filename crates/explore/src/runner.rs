@@ -1374,7 +1374,7 @@ pub(crate) fn execute(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::DirCache;
+    use crate::cache::PackedSegmentCache;
     use crate::session::ExploreSession;
     use crate::sink::VecSink;
     use crate::spec::{ArchFamily, WorkloadSpec};
@@ -1397,7 +1397,7 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("simphony-explore-partial-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let cache = DirCache::open(&dir).unwrap();
+        let cache = Arc::new(PackedSegmentCache::open(&dir).unwrap());
         // TeMPO can run BERT's dynamic products, the static MZI mesh cannot,
         // so the sweep fails after the TeMPO point simulated successfully.
         let spec = SweepSpec::new("partial")
@@ -1432,7 +1432,7 @@ mod tests {
             std::process::id()
         ));
         std::fs::create_dir_all(&dir).unwrap();
-        let cache = DirCache::open(&dir).unwrap();
+        let cache = Arc::new(PackedSegmentCache::open(&dir).unwrap());
         let spec = SweepSpec::new("artifact-partial")
             .with_arch(vec![ArchFamily::Tempo, ArchFamily::Butterfly])
             .with_core_dims(vec![6])

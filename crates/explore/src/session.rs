@@ -4,14 +4,14 @@
 //! [`run`](ExploreSession::run):
 //!
 //! ```
-//! use simphony_explore::{DirCache, ExploreSession, JsonlSink, SweepSpec};
+//! use simphony_explore::{ExploreSession, JsonlSink, PackedSegmentCache, SweepSpec};
 //!
 //! let dir = std::env::temp_dir().join(format!("simphony-doc-session-{}", std::process::id()));
 //! # std::fs::create_dir_all(&dir).unwrap();
 //! let spec = SweepSpec::new("wavelengths").with_wavelengths(vec![1, 2, 4]);
 //! let mut sink = JsonlSink::create(dir.join("records.jsonl"))?;
 //! let outcome = ExploreSession::new(&spec)
-//!     .cache(DirCache::open(dir.join("cache"))?)
+//!     .cache(PackedSegmentCache::open(dir.join("cache"))?)
 //!     .chunk_size(2)
 //!     .keep_going()
 //!     .sink(&mut sink)
@@ -115,8 +115,9 @@ impl<'a> ExploreSession<'a> {
         self
     }
 
-    /// Attaches an already-boxed backend (what [`crate::BackendKind::open`]
-    /// returns).
+    /// Attaches an already-boxed backend (a cache the caller chose at run
+    /// time, such as one optionally wrapped in a
+    /// [`FaultyCache`](crate::FaultyCache)).
     #[must_use]
     pub fn cache_boxed(mut self, backend: Box<dyn CacheBackend + 'a>) -> Self {
         self.cache = Some(backend);
@@ -373,9 +374,10 @@ impl RecordSink for CollectTee<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::{DirCache, PackedSegmentCache};
+    use crate::cache::PackedSegmentCache;
     use crate::sink::JsonlSink;
     use crate::spec::ArchFamily;
+    use std::sync::Arc;
 
     fn scratch(tag: &str) -> PathBuf {
         static COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -439,7 +441,7 @@ mod tests {
             .with_arch(vec![ArchFamily::Tempo, ArchFamily::Butterfly])
             .with_core_dims(vec![6])
             .with_wavelengths(vec![1, 2]);
-        let cache = DirCache::open(dir.join("cache")).unwrap();
+        let cache = Arc::new(PackedSegmentCache::open(dir.join("cache")).unwrap());
         let first = ExploreSession::new(&spec)
             .cache(cache.clone())
             .chunk_size(2)

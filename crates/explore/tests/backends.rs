@@ -1,15 +1,15 @@
-//! Cross-backend integration tests: every [`CacheBackend`] must reproduce
-//! the committed golden record bytes at every tested chunk size (cold and
-//! warm), and a checkpointed sweep interrupted mid-run must resume without
+//! Result-cache integration tests: a cached sweep must reproduce the
+//! committed golden record bytes at every tested chunk size (cold and warm),
+//! and a checkpointed sweep interrupted mid-run must resume without
 //! re-simulating completed shards or re-attempting recorded failures.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use simphony_explore::{
-    read_jsonl, BackendKind, Checkpoint, DirCache, ExploreError, ExploreSession, JsonFileSink,
-    JsonlSink, PackedSegmentCache, RecordSink, Result, ShardedDirCache, SweepRecord, SweepSpec,
-    VecSink,
+    read_jsonl, CacheBackend, Checkpoint, ExploreError, ExploreSession, JsonFileSink, JsonlSink,
+    PackedSegmentCache, RecordSink, Result, SweepRecord, SweepSpec, VecSink,
 };
 
 const GOLDEN_SPEC: &str = include_str!("golden/mixed_axis_spec.json");
@@ -29,121 +29,117 @@ fn scratch_dir(tag: &str) -> PathBuf {
 }
 
 #[test]
-fn every_backend_reproduces_the_golden_bytes_at_every_chunk_size() {
+fn the_cache_reproduces_the_golden_bytes_at_every_chunk_size() {
     let spec: SweepSpec = serde_json::from_str(GOLDEN_SPEC).expect("golden spec parses");
-    for kind in BackendKind::ALL {
-        for chunk in [1, 3, 8, 32, 1000] {
-            let dir = scratch_dir(&format!("golden-{kind}-{chunk}"));
-            let cache_dir = dir.join("cache");
+    for chunk in [1, 3, 8, 32, 1000] {
+        let dir = scratch_dir(&format!("golden-{chunk}"));
+        let cache_dir = dir.join("cache");
 
-            // Cold: every point simulated, every success written through the
-            // backend — and the output must match the pre-refactor bytes.
-            let cold_path = dir.join("cold.json");
-            let mut sink = JsonFileSink::create(&cold_path).expect("sink creates");
-            let cold = ExploreSession::new(&spec)
-                .cache_boxed(kind.open(&cache_dir).expect("backend opens"))
-                .chunk_size(chunk)
-                .sink(&mut sink)
-                .run()
-                .expect("cold sweep runs");
-            assert_eq!(cold.stats.misses, cold.total_points);
-            assert_eq!(
-                std::fs::read_to_string(&cold_path).unwrap(),
-                GOLDEN_RECORDS,
-                "{kind} backend, chunk {chunk}: cold output diverged from the golden bytes"
-            );
+        // Cold: every point simulated, every success written through the
+        // cache — and the output must match the pre-refactor bytes.
+        let cold_path = dir.join("cold.json");
+        let mut sink = JsonFileSink::create(&cold_path).expect("sink creates");
+        let cold = ExploreSession::new(&spec)
+            .cache(PackedSegmentCache::open(&cache_dir).expect("cache opens"))
+            .chunk_size(chunk)
+            .sink(&mut sink)
+            .run()
+            .expect("cold sweep runs");
+        assert_eq!(cold.stats.misses, cold.total_points);
+        assert_eq!(
+            std::fs::read_to_string(&cold_path).unwrap(),
+            GOLDEN_RECORDS,
+            "chunk {chunk}: cold output diverged from the golden bytes"
+        );
 
-            // Warm: a fresh handle over the same directory serves every point
-            // from the cache, byte-identically.
-            let warm_path = dir.join("warm.json");
-            let mut sink = JsonFileSink::create(&warm_path).expect("sink creates");
-            let warm = ExploreSession::new(&spec)
-                .cache_boxed(kind.open(&cache_dir).expect("backend reopens"))
-                .chunk_size(chunk)
-                .sink(&mut sink)
-                .run()
-                .expect("warm sweep runs");
-            assert_eq!(
-                warm.stats.hits, warm.total_points,
-                "{kind} backend, chunk {chunk}: warm rerun must be all hits"
-            );
-            assert_eq!(
-                std::fs::read_to_string(&warm_path).unwrap(),
-                GOLDEN_RECORDS,
-                "{kind} backend, chunk {chunk}: warm output diverged from the golden bytes"
-            );
-            std::fs::remove_dir_all(&dir).ok();
-        }
+        // Warm: a fresh handle over the same directory serves every point
+        // from the cache, byte-identically.
+        let warm_path = dir.join("warm.json");
+        let mut sink = JsonFileSink::create(&warm_path).expect("sink creates");
+        let warm = ExploreSession::new(&spec)
+            .cache(PackedSegmentCache::open(&cache_dir).expect("cache reopens"))
+            .chunk_size(chunk)
+            .sink(&mut sink)
+            .run()
+            .expect("warm sweep runs");
+        assert_eq!(
+            warm.stats.hits, warm.total_points,
+            "chunk {chunk}: warm rerun must be all hits"
+        );
+        assert_eq!(
+            std::fs::read_to_string(&warm_path).unwrap(),
+            GOLDEN_RECORDS,
+            "chunk {chunk}: warm output diverged from the golden bytes"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
 #[test]
-fn the_pipeline_is_byte_identical_to_the_serial_path_on_every_backend() {
+fn the_pipeline_is_byte_identical_to_the_serial_path_through_the_cache() {
     // A chunked sweep (on the writer-thread pipeline whenever it spans more
     // than one shard) must leave the same sink bytes and cache contents as
-    // the unchunked one (a single shard, run inline), for every backend at
-    // every chunk size — cold and warm.
+    // the unchunked one (a single shard, run inline) at every chunk size —
+    // cold and warm.
     let spec: SweepSpec = serde_json::from_str(GOLDEN_SPEC).expect("golden spec parses");
-    for kind in BackendKind::ALL {
-        for chunk in [1, 3, 8, 32, 1000] {
-            let dir = scratch_dir(&format!("pipe-{kind}-{chunk}"));
-            let run = |chunk: usize, tag: &str| {
-                let jsonl = dir.join(format!("{tag}.jsonl"));
-                let cache_dir = dir.join(format!("cache-{tag}"));
-                let mut sink = JsonlSink::create(&jsonl).expect("sink creates");
-                ExploreSession::new(&spec)
-                    .cache_boxed(kind.open(&cache_dir).expect("backend opens"))
-                    .chunk_size(chunk)
-                    .sink(&mut sink)
-                    .run()
-                    .expect("sweep runs");
-                drop(sink);
-                (jsonl, cache_dir)
-            };
-            let (serial_jsonl, serial_cache) = run(0, "serial");
-            let (piped_jsonl, piped_cache) = run(chunk, "piped");
-            assert_eq!(
-                std::fs::read(&piped_jsonl).unwrap(),
-                std::fs::read(&serial_jsonl).unwrap(),
-                "{kind} chunk {chunk}: chunked sink bytes diverged"
-            );
-            // Cache contents: identical key → record maps (file names can
-            // differ for packed segments, whose names embed a counter).
-            let snapshot = |cache_dir: &std::path::Path| {
-                let backend = kind.open(cache_dir).expect("backend reopens");
-                let mut entries: Vec<(String, SweepRecord)> = Vec::new();
-                backend
-                    .scan(&mut |key, record| {
-                        entries.push((key, record));
-                        Ok(())
-                    })
-                    .expect("scan succeeds");
-                entries
-            };
-            assert_eq!(
-                snapshot(&piped_cache),
-                snapshot(&serial_cache),
-                "{kind} chunk {chunk}: chunked cache contents diverged"
-            );
-            // Warm chunked rerun over the unchunked run's cache: all hits,
-            // same bytes again.
-            let warm_jsonl = dir.join("warm.jsonl");
-            let mut sink = JsonlSink::create(&warm_jsonl).expect("sink creates");
-            let warm = ExploreSession::new(&spec)
-                .cache_boxed(kind.open(&serial_cache).expect("backend reopens"))
+    for chunk in [1, 3, 8, 32, 1000] {
+        let dir = scratch_dir(&format!("pipe-{chunk}"));
+        let run = |chunk: usize, tag: &str| {
+            let jsonl = dir.join(format!("{tag}.jsonl"));
+            let cache_dir = dir.join(format!("cache-{tag}"));
+            let mut sink = JsonlSink::create(&jsonl).expect("sink creates");
+            ExploreSession::new(&spec)
+                .cache(PackedSegmentCache::open(&cache_dir).expect("cache opens"))
                 .chunk_size(chunk)
                 .sink(&mut sink)
                 .run()
-                .expect("warm sweep runs");
+                .expect("sweep runs");
             drop(sink);
-            assert_eq!(warm.stats.hits, warm.total_points);
-            assert_eq!(
-                std::fs::read(&warm_jsonl).unwrap(),
-                std::fs::read(&serial_jsonl).unwrap(),
-                "{kind} chunk {chunk}: warm chunked bytes diverged"
-            );
-            std::fs::remove_dir_all(&dir).ok();
-        }
+            (jsonl, cache_dir)
+        };
+        let (serial_jsonl, serial_cache) = run(0, "serial");
+        let (piped_jsonl, piped_cache) = run(chunk, "piped");
+        assert_eq!(
+            std::fs::read(&piped_jsonl).unwrap(),
+            std::fs::read(&serial_jsonl).unwrap(),
+            "chunk {chunk}: chunked sink bytes diverged"
+        );
+        // Cache contents: identical key → record maps (segment file names
+        // differ, since they embed a counter).
+        let snapshot = |cache_dir: &std::path::Path| {
+            let cache = PackedSegmentCache::open(cache_dir).expect("cache reopens");
+            let mut entries: Vec<(String, SweepRecord)> = Vec::new();
+            cache
+                .scan(&mut |key, record| {
+                    entries.push((key, record));
+                    Ok(())
+                })
+                .expect("scan succeeds");
+            entries
+        };
+        assert_eq!(
+            snapshot(&piped_cache),
+            snapshot(&serial_cache),
+            "chunk {chunk}: chunked cache contents diverged"
+        );
+        // Warm chunked rerun over the unchunked run's cache: all hits, same
+        // bytes again.
+        let warm_jsonl = dir.join("warm.jsonl");
+        let mut sink = JsonlSink::create(&warm_jsonl).expect("sink creates");
+        let warm = ExploreSession::new(&spec)
+            .cache(PackedSegmentCache::open(&serial_cache).expect("cache reopens"))
+            .chunk_size(chunk)
+            .sink(&mut sink)
+            .run()
+            .expect("warm sweep runs");
+        drop(sink);
+        assert_eq!(warm.stats.hits, warm.total_points);
+        assert_eq!(
+            std::fs::read(&warm_jsonl).unwrap(),
+            std::fs::read(&serial_jsonl).unwrap(),
+            "chunk {chunk}: warm chunked bytes diverged"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
@@ -189,44 +185,6 @@ fn the_pipeline_is_byte_identical_under_injected_failures() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn backends_are_interchangeable_mid_sweep_via_migration() {
-    // Populate a flat cache, migrate it to the packed backend, and finish the
-    // sweep against the migrated copy: the records must be identical and the
-    // migrated entries must all hit.
-    let spec: SweepSpec = serde_json::from_str(GOLDEN_SPEC).expect("golden spec parses");
-    let dir = scratch_dir("interchange");
-    let flat = DirCache::open(dir.join("flat")).expect("cache opens");
-    let reference = ExploreSession::new(&spec)
-        .cache(flat.clone())
-        .run_collect()
-        .expect("reference sweep runs");
-
-    let packed = PackedSegmentCache::open(dir.join("packed")).expect("cache opens");
-    let moved = simphony_explore::migrate_cache(&flat, &packed).expect("migration succeeds");
-    assert_eq!(moved, reference.records.len());
-
-    let resumed = ExploreSession::new(&spec)
-        .cache(packed)
-        .run_collect()
-        .expect("sweep against migrated cache runs");
-    assert_eq!(resumed.stats.hits, reference.records.len());
-    assert_eq!(resumed.records, reference.records);
-
-    // And the sharded flavour round-trips too.
-    let sharded = ShardedDirCache::open(dir.join("sharded")).expect("cache opens");
-    assert_eq!(
-        simphony_explore::migrate_cache(&flat, &sharded).expect("migration succeeds"),
-        moved
-    );
-    let resumed = ExploreSession::new(&spec)
-        .cache(sharded)
-        .run_collect()
-        .expect("sweep against sharded cache runs");
-    assert_eq!(resumed.stats.hits, reference.records.len());
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 /// A sink that forwards to a [`JsonlSink`] but dies on the Nth shard flush —
 /// the deterministic stand-in for a sweep killed mid-run.
 struct DyingSink {
@@ -268,7 +226,7 @@ fn an_interrupted_sweep_resumes_from_its_checkpoint_without_rework() {
     let dir = scratch_dir("interrupt");
     let ckpt = dir.join("sweep.ckpt");
     let jsonl = dir.join("records.jsonl");
-    let cache = DirCache::open(dir.join("cache")).expect("cache opens");
+    let cache = Arc::new(PackedSegmentCache::open(dir.join("cache")).expect("cache opens"));
 
     // First run dies after flushing shard 0: one shard checkpointed, one
     // record durable in the JSONL, shard 1's success cached but NOT
@@ -352,36 +310,31 @@ fn an_interrupted_sweep_resumes_from_its_checkpoint_without_rework() {
 }
 
 #[test]
-fn checkpointed_sweeps_work_with_every_backend() {
+fn checkpointed_sweeps_leave_every_success_durable_in_the_cache() {
     let spec: SweepSpec = serde_json::from_str(GOLDEN_SPEC).expect("golden spec parses");
-    for kind in BackendKind::ALL {
-        let dir = scratch_dir(&format!("ckpt-{kind}"));
-        let ckpt = dir.join("sweep.ckpt");
-        let cache_dir = dir.join("cache");
-        let first = ExploreSession::new(&spec)
-            .cache_boxed(kind.open(&cache_dir).expect("backend opens"))
-            .chunk_size(8)
-            .checkpoint(&ckpt)
-            .run()
-            .expect("checkpointed sweep runs");
-        assert_eq!(first.skipped_points, 0);
-        let backend = kind.open(&cache_dir).expect("backend reopens");
-        assert_eq!(
-            backend.len().unwrap(),
-            first.total_points,
-            "{kind}: every checkpointed success is durable in the cache"
-        );
-        let rerun = ExploreSession::new(&spec)
-            .cache_boxed(backend)
-            .chunk_size(8)
-            .checkpoint(&ckpt)
-            .run()
-            .expect("checkpointed rerun runs");
-        assert_eq!(
-            rerun.skipped_points, rerun.total_points,
-            "{kind}: all skipped"
-        );
-        assert_eq!(rerun.stats.hits + rerun.stats.misses, 0);
-        std::fs::remove_dir_all(&dir).ok();
-    }
+    let dir = scratch_dir("ckpt");
+    let ckpt = dir.join("sweep.ckpt");
+    let cache_dir = dir.join("cache");
+    let first = ExploreSession::new(&spec)
+        .cache(PackedSegmentCache::open(&cache_dir).expect("cache opens"))
+        .chunk_size(8)
+        .checkpoint(&ckpt)
+        .run()
+        .expect("checkpointed sweep runs");
+    assert_eq!(first.skipped_points, 0);
+    let cache = PackedSegmentCache::open(&cache_dir).expect("cache reopens");
+    assert_eq!(
+        cache.stats().unwrap().entries,
+        first.total_points,
+        "every checkpointed success is durable in the cache"
+    );
+    let rerun = ExploreSession::new(&spec)
+        .cache(cache)
+        .chunk_size(8)
+        .checkpoint(&ckpt)
+        .run()
+        .expect("checkpointed rerun runs");
+    assert_eq!(rerun.skipped_points, rerun.total_points, "all skipped");
+    assert_eq!(rerun.stats.hits + rerun.stats.misses, 0);
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -6,10 +6,11 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use simphony_explore::{
-    ArchFamily, Checkpoint, DirCache, ExploreSession, FaultInjector, FaultKind, FaultPlan,
-    FaultyCache, FaultySink, JsonlSink, RetryPolicy, SweepSpec,
+    ArchFamily, CacheBackend, Checkpoint, ExploreSession, FaultInjector, FaultKind, FaultPlan,
+    FaultyCache, FaultySink, JsonlSink, PackedSegmentCache, RetryPolicy, SweepSpec,
 };
 
 /// A fresh scratch directory under the system temp dir.
@@ -50,8 +51,8 @@ fn retries_absorb_seeded_transient_cache_faults_without_changing_bytes() {
     let golden = golden_bytes(&small_spec(), &dir, 4);
     let spec = small_spec();
     let injector = FaultInjector::new(FaultPlan::new(0xC0FFEE).transient_error_rate(0.2));
-    let cache = DirCache::open(dir.join("cache")).expect("cache opens");
-    let faulty = FaultyCache::new(Box::new(cache.clone()), injector);
+    let cache = Arc::new(PackedSegmentCache::open(dir.join("cache")).expect("cache opens"));
+    let faulty = FaultyCache::new(Box::new(Arc::clone(&cache)), injector);
 
     let out = dir.join("faulted.jsonl");
     let mut sink = JsonlSink::create(&out).expect("sink creates");
@@ -87,8 +88,8 @@ fn an_exhausted_cache_write_degrades_but_the_record_still_reaches_the_sink() {
     // One shard of 12 points: ops 0..=11 are the cache puts. Fault op 3 with
     // no retry budget: that put must degrade, nothing else may change.
     let injector = FaultInjector::new(FaultPlan::new(1).with_fault(3, FaultKind::TransientError));
-    let cache = DirCache::open(dir.join("cache")).expect("cache opens");
-    let faulty = FaultyCache::new(Box::new(cache.clone()), injector);
+    let cache = Arc::new(PackedSegmentCache::open(dir.join("cache")).expect("cache opens"));
+    let faulty = FaultyCache::new(Box::new(Arc::clone(&cache)), injector);
 
     let out = dir.join("degraded.jsonl");
     let mut sink = JsonlSink::create(&out).expect("sink creates");
@@ -112,7 +113,7 @@ fn an_exhausted_cache_write_degrades_but_the_record_still_reaches_the_sink() {
 
     // Without keep-going the same exhaustion is a hard error.
     let injector = FaultInjector::new(FaultPlan::new(1).with_fault(3, FaultKind::TransientError));
-    let cache2 = DirCache::open(dir.join("cache2")).expect("cache opens");
+    let cache2 = PackedSegmentCache::open(dir.join("cache2")).expect("cache opens");
     let faulty = FaultyCache::new(Box::new(cache2), injector);
     let mut sink = JsonlSink::create(dir.join("failfast.jsonl")).expect("sink creates");
     ExploreSession::new(&spec)
@@ -131,8 +132,8 @@ fn a_torn_cache_write_heals_as_a_miss_on_the_next_run() {
     // Tear cache put op 5 short: the entry publishes truncated JSON, the
     // record itself is unharmed.
     let injector = FaultInjector::new(FaultPlan::new(2).with_fault(5, FaultKind::ShortWrite));
-    let cache = DirCache::open(dir.join("cache")).expect("cache opens");
-    let faulty = FaultyCache::new(Box::new(cache.clone()), injector);
+    let cache = Arc::new(PackedSegmentCache::open(dir.join("cache")).expect("cache opens"));
+    let faulty = FaultyCache::new(Box::new(Arc::clone(&cache)), injector);
     let out = dir.join("torn.jsonl");
     let mut sink = JsonlSink::create(&out).expect("sink creates");
     ExploreSession::new(&spec)

@@ -3,10 +3,11 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use simphony_explore::{
-    dominates, pareto_front, ArchFamily, CacheStats, DirCache, ExploreSession, Objective,
-    SweepSpec, WorkloadSpec,
+    dominates, pareto_front, ArchFamily, CacheBackend, CacheStats, ExploreSession, Objective,
+    PackedSegmentCache, SweepSpec, WorkloadSpec,
 };
 
 /// A fresh scratch directory under the target-adjacent temp dir.
@@ -98,7 +99,7 @@ fn records_are_byte_identical_across_thread_counts() {
 #[test]
 fn second_run_is_served_entirely_from_cache() {
     let dir = scratch_dir("cache");
-    let cache = DirCache::open(&dir).expect("cache opens");
+    let cache = Arc::new(PackedSegmentCache::open(&dir).expect("cache opens"));
     let spec = SweepSpec::new("cached")
         .with_wavelengths(vec![1, 2])
         .with_bitwidth(vec![4, 8]);

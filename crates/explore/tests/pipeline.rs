@@ -8,10 +8,11 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use simphony_explore::{
-    BackendStats, CacheBackend, Checkpoint, DirCache, ExploreError, ExploreSession, JsonlSink,
-    RecordSink, Result, SweepPoint, SweepRecord, SweepSpec,
+    BackendStats, CacheBackend, Checkpoint, ExploreError, ExploreSession, JsonlSink,
+    PackedSegmentCache, RecordSink, Result, SweepPoint, SweepRecord, SweepSpec,
 };
 
 /// A fresh scratch directory under the system temp dir.
@@ -84,7 +85,7 @@ fn a_sink_dying_mid_shard_surfaces_the_error_without_checkpointing_that_shard() 
     let dir = scratch_dir("dying");
     let ckpt = dir.join("sweep.ckpt");
     let jsonl = dir.join("records.jsonl");
-    let cache = DirCache::open(dir.join("cache")).expect("cache opens");
+    let cache = Arc::new(PackedSegmentCache::open(dir.join("cache")).expect("cache opens"));
 
     // Dies on the third accept: shards 0 and 1 flush and checkpoint cleanly,
     // shard 2 fails mid-drain. The pipelined compute stage is by then already
@@ -131,11 +132,12 @@ fn a_sink_dying_mid_shard_surfaces_the_error_without_checkpointing_that_shard() 
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Delegates to a [`DirCache`] but panics when asked to look up one specific
-/// point — a compute-stage panic (batch lookups run on the worker threads).
+/// Delegates to a shared [`PackedSegmentCache`] but panics when asked to
+/// look up one specific point — a compute-stage panic (batch lookups run on
+/// the worker threads).
 #[derive(Clone)]
 struct PanickyCache {
-    inner: DirCache,
+    inner: Arc<PackedSegmentCache>,
     panic_at_index: usize,
 }
 
@@ -160,6 +162,10 @@ impl CacheBackend for PanickyCache {
         self.inner.stats()
     }
 
+    fn flush(&self) -> Result<()> {
+        self.inner.flush()
+    }
+
     fn scan(&self, visit: &mut dyn FnMut(String, SweepRecord) -> Result<()>) -> Result<()> {
         self.inner.scan(visit)
     }
@@ -172,7 +178,7 @@ fn a_compute_stage_panic_propagates_without_poisoning_the_writer() {
     let ckpt = dir.join("sweep.ckpt");
     let jsonl = dir.join("records.jsonl");
     let cache = PanickyCache {
-        inner: DirCache::open(dir.join("cache")).expect("cache opens"),
+        inner: Arc::new(PackedSegmentCache::open(dir.join("cache")).expect("cache opens")),
         panic_at_index: 2,
     };
 

@@ -5,10 +5,11 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use simphony_explore::{
-    read_json, read_jsonl, to_csv, ArchFamily, CsvSink, DirCache, ExploreSession, JsonFileSink,
-    JsonlSink, MultiSink, SweepSpec, VecSink,
+    read_json, read_jsonl, to_csv, ArchFamily, CacheBackend, CsvSink, ExploreSession, JsonFileSink,
+    JsonlSink, MultiSink, PackedSegmentCache, SweepSpec, VecSink,
 };
 
 const GOLDEN_SPEC: &str = include_str!("golden/mixed_axis_spec.json");
@@ -93,7 +94,7 @@ fn streaming_sinks_match_their_batch_writers() {
 #[test]
 fn keep_going_sweeps_resume_through_the_cache() {
     let dir = scratch_dir("resume");
-    let cache = DirCache::open(&dir).expect("cache opens");
+    let cache = Arc::new(PackedSegmentCache::open(&dir).expect("cache opens"));
     // Four points; the two butterfly ones fail at artifact construction
     // (non-power-of-two core height), the two TeMPO ones succeed.
     let spec = SweepSpec::new("keep-going")
@@ -140,54 +141,58 @@ fn keep_going_sweeps_resume_through_the_cache() {
 
 #[test]
 fn concurrent_sweeps_share_a_cache_directory_safely() {
-    // Two overlapping sweeps race on the same cache directory; atomic entry
-    // writes mean both finish with correct records and the shared points are
-    // stored exactly once.
-    let dir = scratch_dir("shared-cache");
+    // Two overlapping sweeps race on the same cache directory through two
+    // handles in one process. Segment numbers are drawn process-wide, so the
+    // handles never stage or publish under one name: both finish with
+    // correct records, and a fresh handle sees every point exactly once.
+    // The collision this guards against is a timing race, so the sweep pair
+    // runs many times.
     let spec_a = SweepSpec::new("shared-a")
         .with_wavelengths(vec![1, 2])
         .with_bitwidth(vec![4, 8]);
     let spec_b = SweepSpec::new("shared-b")
         .with_wavelengths(vec![1, 2, 3])
         .with_bitwidth(vec![8]);
-
-    let (outcome_a, outcome_b) = std::thread::scope(|scope| {
-        let dir_a = dir.clone();
-        let dir_b = dir.clone();
-        let a = scope.spawn(move || {
-            let cache = DirCache::open(&dir_a).expect("cache opens");
-            ExploreSession::new(&spec_a)
-                .cache(cache)
-                .run_collect()
-                .expect("sweep A runs")
+    for round in 0..50 {
+        let dir = scratch_dir("shared-cache");
+        let (outcome_a, outcome_b) = std::thread::scope(|scope| {
+            let a = scope.spawn(|| {
+                let cache = PackedSegmentCache::open(&dir).expect("cache opens");
+                ExploreSession::new(&spec_a)
+                    .cache(cache)
+                    .run_collect()
+                    .expect("sweep A runs")
+            });
+            let b = scope.spawn(|| {
+                let cache = PackedSegmentCache::open(&dir).expect("cache opens");
+                ExploreSession::new(&spec_b)
+                    .cache(cache)
+                    .run_collect()
+                    .expect("sweep B runs")
+            });
+            (a.join().unwrap(), b.join().unwrap())
         });
-        let b = scope.spawn(move || {
-            let cache = DirCache::open(&dir_b).expect("cache opens");
-            ExploreSession::new(&spec_b)
-                .cache(cache)
-                .run_collect()
-                .expect("sweep B runs")
-        });
-        (a.join().unwrap(), b.join().unwrap())
-    });
-    assert_eq!(outcome_a.records.len(), 4);
-    assert_eq!(outcome_b.records.len(), 3);
+        assert_eq!(outcome_a.records.len(), 4);
+        assert_eq!(outcome_b.records.len(), 3);
 
-    // Every record equals its from-scratch simulation regardless of which
-    // process' write landed; the overlapping λ∈{1,2}@8b points dedupe.
-    let cache = DirCache::open(&dir).expect("cache opens");
-    assert_eq!(cache.len().unwrap(), 5, "4 + 3 points with 2 shared");
-    let spec_a2 = SweepSpec::new("shared-a")
-        .with_wavelengths(vec![1, 2])
-        .with_bitwidth(vec![4, 8]);
-    let rerun = ExploreSession::new(&spec_a2)
-        .cache(cache.clone())
-        .run_collect()
-        .expect("rerun is all hits");
-    assert_eq!(rerun.stats.hits, 4);
-    assert_eq!(
-        serde_json::to_string(&rerun.records).unwrap(),
-        serde_json::to_string(&outcome_a.records).unwrap()
-    );
-    std::fs::remove_dir_all(&dir).ok();
+        // Every record equals its from-scratch simulation regardless of
+        // which handle's segment landed first; the overlapping λ∈{1,2}@8b
+        // points dedupe.
+        let cache = PackedSegmentCache::open(&dir).expect("cache opens");
+        assert_eq!(
+            cache.len().unwrap(),
+            5,
+            "round {round}: 4 + 3 points with 2 shared"
+        );
+        let rerun = ExploreSession::new(&spec_a)
+            .cache(cache)
+            .run_collect()
+            .expect("rerun is all hits");
+        assert_eq!(rerun.stats.hits, 4, "round {round}");
+        assert_eq!(
+            serde_json::to_string(&rerun.records).unwrap(),
+            serde_json::to_string(&outcome_a.records).unwrap()
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -8,8 +8,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use simphony_explore::{
-    pareto_front, read_jsonl, simulate_point, write_jsonl, ExploreSession, JsonlSink, Objective,
-    PackedSegmentCache, RetryPolicy, SweepSpec,
+    pareto_front, read_jsonl, simulate_point, write_jsonl, CacheBackend, ExploreSession,
+    FaultInjector, FaultKind, FaultPlan, FaultyCache, JsonlSink, Objective, PackedSegmentCache,
+    RetryPolicy, SweepSpec,
 };
 use simphony_serve::{check, request, Client, ServeConfig, Server};
 use simphony_traffic::{run_serving_with, ServingSpec};
@@ -277,13 +278,22 @@ fn pareto_response_is_byte_identical_to_written_frontier() {
     server.join();
 }
 
-/// A sweep big enough to keep the daemon busy for a while: 180 points of
-/// the default workload.
+/// A bulk-lane sweep: 180 points of the default workload.
 fn bulk_spec() -> SweepSpec {
     SweepSpec::new("daemon-bulk")
         .with_wavelengths(vec![1, 2, 3, 4, 5, 6])
         .with_bitwidth(vec![2, 3, 4, 5, 6])
         .with_sparsity(vec![0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
+}
+
+/// A fresh packed cache whose first counted operation — the bulk sweep's
+/// first cache put, since `run` requests never touch the cache — sleeps
+/// for two seconds. The sweep is then provably still in flight when a
+/// request sent after a short head start lands, under any build profile.
+fn held_bulk_cache(tag: &str) -> Arc<dyn CacheBackend> {
+    let cache = PackedSegmentCache::open(scratch_dir(tag).join("cache")).expect("cache opens");
+    let plan = FaultPlan::new(0).with_fault(0, FaultKind::Latency { ms: 2_000 });
+    Arc::new(FaultyCache::new(Box::new(cache), FaultInjector::new(plan)))
 }
 
 #[test]
@@ -294,7 +304,8 @@ fn interactive_run_completes_while_bulk_sweep_is_in_flight() {
         bulk_threshold: 16,
         ..ServeConfig::default()
     };
-    let server = Server::start(config, None).expect("server starts");
+    let server =
+        Server::start(config, Some(held_bulk_cache("interactive"))).expect("server starts");
     let addr = server.local_addr().to_string();
 
     let sweep_done = Arc::new(AtomicBool::new(false));
@@ -323,8 +334,8 @@ fn interactive_run_completes_while_bulk_sweep_is_in_flight() {
     );
     assert!(
         !sweep_done.load(Ordering::SeqCst),
-        "bulk sweep already finished after {interactive_latency:?} — enlarge the bulk \
-         spec so this test exercises overlap"
+        "bulk sweep already finished after {interactive_latency:?}, despite the held \
+         cache put"
     );
 
     let sweep_lines = sweeper.join().expect("sweeper thread");
@@ -343,7 +354,7 @@ fn admission_bound_rejects_excess_work_but_keeps_answering_probes() {
         bulk_threshold: 16,
         ..ServeConfig::default()
     };
-    let server = Server::start(config, None).expect("server starts");
+    let server = Server::start(config, Some(held_bulk_cache("admission"))).expect("server starts");
     let addr = server.local_addr().to_string();
 
     let sweep_done = Arc::new(AtomicBool::new(false));
@@ -377,7 +388,7 @@ fn admission_bound_rejects_excess_work_but_keeps_answering_probes() {
     }
     assert!(
         saw_busy,
-        "bulk sweep finished before any request was rejected — enlarge the bulk spec"
+        "bulk sweep finished before any request was rejected, despite the held cache put"
     );
     // Probes bypass admission even while the server is saturated.
     check(&addr, Duration::from_secs(5)).expect("health check succeeds under load");
