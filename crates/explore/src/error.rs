@@ -47,8 +47,8 @@ pub enum ExploreError {
         /// The offending value (NaN, `inf` or `-inf`).
         value: f64,
     },
-    /// A cache backend holds inconsistent data (an entry filed under the
-    /// wrong content key, a lossy migration round-trip, …).
+    /// A result cache cannot be used as it stands: a directory in a retired
+    /// layout, or a buffered entry whose rendered line does not parse.
     Cache {
         /// Explanation of the problem.
         reason: String,
