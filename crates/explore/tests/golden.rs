@@ -9,11 +9,20 @@
 //! these bytes is a simulator-semantics change and must be deliberate
 //! (regenerate the golden file and bump `CACHE_SCHEMA_VERSION` in
 //! `src/cache.rs`).
+//!
+//! `golden/awareness_records.jsonl` is the `simphony-cli sweep --jsonl`
+//! output of `golden/awareness_spec.json`, written by the engine that still
+//! sampled weights for data-unaware points: 64 points, every one of them in
+//! both the data-aware and the data-unaware mode. It pins the unaware
+//! records, which read no weight samples, and the artifact keys that decide
+//! which points share a workload.
 
 use simphony_explore::{ExploreSession, SweepSpec};
 
 const GOLDEN_SPEC: &str = include_str!("golden/mixed_axis_spec.json");
 const GOLDEN_RECORDS: &str = include_str!("golden/mixed_axis_records.json");
+const AWARENESS_SPEC: &str = include_str!("golden/awareness_spec.json");
+const AWARENESS_RECORDS: &str = include_str!("golden/awareness_records.jsonl");
 
 #[test]
 fn sweep_engine_matches_pre_refactor_golden_records() {
@@ -52,4 +61,29 @@ fn golden_sweep_spans_multiple_artifact_keys() {
         points.len() >= 2 * workloads.len(),
         "multiple points share each workload artifact"
     );
+}
+
+#[test]
+fn aware_and_unaware_records_match_their_golden_bytes_across_shards() {
+    let spec: SweepSpec = serde_json::from_str(AWARENESS_SPEC).expect("awareness spec parses");
+    assert_eq!(spec.point_count().expect("awareness spec counts"), 64);
+    // At chunk size 1 every point is its own shard, so every artifact comes
+    // out of the store a previous shard published: a key that let an unaware
+    // workload serve an aware point (or the reverse) would show here.
+    for chunk in [0, 1] {
+        let outcome = ExploreSession::new(&spec)
+            .chunk_size(chunk)
+            .run_collect()
+            .expect("awareness sweep runs");
+        // `JsonlSink` writes each record as compact JSON plus a newline.
+        let rendered: String = outcome
+            .records
+            .iter()
+            .map(|record| serde_json::to_string(record).expect("record serializes") + "\n")
+            .collect();
+        assert_eq!(
+            rendered, AWARENESS_RECORDS,
+            "records diverged from the awareness golden bytes at chunk size {chunk}"
+        );
+    }
 }
