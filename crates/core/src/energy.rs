@@ -14,7 +14,7 @@ use simphony_memsim::{MemoryHierarchy, MemoryLevel};
 use simphony_onn::LayerWorkload;
 use simphony_units::{Energy, Power};
 
-use crate::error::Result;
+use crate::error::{Result, SimError};
 use crate::link_budget::LinkBudgetReport;
 
 /// Whether the energy analysis uses the actual operand values of the workload.
@@ -259,38 +259,51 @@ impl fmt::Display for LayerEnergyReport {
 /// Mean electrical power of the architecture's weight-encoding device for this
 /// workload, honouring the requested data awareness.
 ///
-/// The data-aware mean evaluates the power model once per distinct sampled
-/// magnitude, then sums the table entry of every sample in sample order: the
-/// same summands in the same order as one `power_at` per sample, so the
-/// result is bit-identical to it at a fraction of the cost.
+/// The data-unaware arm is the library's worst-case power and reads nothing
+/// of the workload, so a shape-only workload
+/// ([`ModelWorkload::shape_only`](simphony_onn::ModelWorkload::shape_only))
+/// serves it. The data-aware arm evaluates the power model once per distinct
+/// sampled magnitude, then sums the table entry of every sample in sample
+/// order: the same summands in the same order as one `power_at` per sample,
+/// so the result is bit-identical to it at a fraction of the cost. A layer
+/// with no weight elements has no samples to average and gets the model's
+/// mean power.
+///
+/// # Errors
+///
+/// Returns [`SimError::UnsampledWeights`] for a data-aware request on a
+/// layer that carries no weight samples.
 fn weight_device_power(
     spec: &simphony_devlib::DeviceSpec,
     workload: &LayerWorkload,
     awareness: DataAwareness,
-) -> Power {
-    match awareness {
-        DataAwareness::Unaware => spec.power_model().worst_case_power(),
-        DataAwareness::Aware => {
-            let codes = workload.weight_codes();
-            if codes.is_empty() {
-                return spec.power_model().mean_power();
-            }
-            let level_mw: Vec<f64> = workload
-                .weight_magnitudes()
-                .iter()
-                .map(|&v| {
-                    if v == 0.0 {
-                        // Pruned weights are power-gated.
-                        0.0
-                    } else {
-                        spec.power_model().power_at(v).milliwatts()
-                    }
-                })
-                .collect();
-            let total_mw: f64 = codes.iter().map(|&code| level_mw[usize::from(code)]).sum();
-            Power::from_milliwatts(total_mw / codes.len() as f64)
-        }
+) -> Result<Power> {
+    let samples = match awareness {
+        DataAwareness::Unaware => return Ok(spec.power_model().worst_case_power()),
+        DataAwareness::Aware => workload
+            .samples()
+            .ok_or_else(|| SimError::UnsampledWeights {
+                layer: workload.name().to_string(),
+            })?,
+    };
+    let codes = samples.codes();
+    if codes.is_empty() {
+        return Ok(spec.power_model().mean_power());
     }
+    let level_mw: Vec<f64> = samples
+        .magnitudes()
+        .iter()
+        .map(|&v| {
+            if v == 0.0 {
+                // Pruned weights are power-gated.
+                0.0
+            } else {
+                spec.power_model().power_at(v).milliwatts()
+            }
+        })
+        .collect();
+    let total_mw: f64 = codes.iter().map(|&code| level_mw[usize::from(code)]).sum();
+    Ok(Power::from_milliwatts(total_mw / codes.len() as f64))
 }
 
 /// Computes the device energy of one mapped layer on one sub-architecture.
@@ -343,7 +356,7 @@ pub fn layer_energy_with_counts(
             spec
         };
         let power = if inst.device() == arch.weight_device() {
-            weight_device_power(spec_ref, workload, awareness)
+            weight_device_power(spec_ref, workload, awareness)?
         } else if spec_ref.kind() == DeviceKind::Laser {
             // Distribute the link-budget laser power over the laser instances.
             link.total_laser_power / count
@@ -549,13 +562,14 @@ mod tests {
     /// Reference for the fold: one `power_at` call per sample, summed in
     /// sample order.
     fn per_sample_weight_power(spec: &DeviceSpec, workload: &LayerWorkload) -> Power {
-        let codes = workload.weight_codes();
+        let samples = workload.samples().expect("extract samples");
+        let codes = samples.codes();
         if codes.is_empty() {
             return spec.power_model().mean_power();
         }
         let total_mw: f64 = codes
             .iter()
-            .map(|&code| workload.weight_magnitudes()[usize::from(code)])
+            .map(|&code| samples.magnitudes()[usize::from(code)])
             .map(|v| {
                 if v == 0.0 {
                     0.0
@@ -612,7 +626,7 @@ mod tests {
                 .unwrap();
                 let layer = &workload.layers()[0];
                 for spec in &specs {
-                    let folded = weight_device_power(spec, layer, DataAwareness::Aware);
+                    let folded = weight_device_power(spec, layer, DataAwareness::Aware).unwrap();
                     let reference = per_sample_weight_power(spec, layer);
                     assert_eq!(
                         folded.milliwatts().to_bits(),

@@ -41,6 +41,12 @@ pub enum SimError {
         /// How many sub-architectures the accelerator actually has.
         available: usize,
     },
+    /// A data-aware simulation was handed a layer without weight samples (a
+    /// shape-only workload), so its per-value device power is unknown.
+    UnsampledWeights {
+        /// The layer that carries no samples.
+        layer: String,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -65,6 +71,10 @@ impl fmt::Display for SimError {
             } => write!(
                 f,
                 "mapping plan routes layer `{layer}` to sub-architecture {requested}, but the accelerator only has {available}"
+            ),
+            SimError::UnsampledWeights { layer } => write!(
+                f,
+                "data-aware simulation needs weight samples, but layer `{layer}` of a shape-only workload has none"
             ),
         }
     }

@@ -371,7 +371,9 @@ impl Simulator {
     /// Propagates mapping, device, memory and layout errors; returns
     /// [`SimError::NoCompatibleSubArch`] when a dynamic layer cannot be
     /// placed, and [`SimError::InvalidSubArchIndex`] when the plan routes a
-    /// layer to a sub-architecture index the accelerator does not have.
+    /// layer to a sub-architecture index the accelerator does not have, and
+    /// [`SimError::UnsampledWeights`] when a data-aware configuration is
+    /// handed a shape-only workload.
     pub fn simulate(
         &self,
         workload: &ModelWorkload,
@@ -640,5 +642,40 @@ mod tests {
             .simulate(&sparse, &MappingPlan::default())
             .unwrap();
         assert!(aware.energy_by_kind["PS"] < unaware.energy_by_kind["PS"]);
+    }
+
+    #[test]
+    fn shape_only_workloads_serve_unaware_simulations_and_refuse_aware_ones() {
+        let accel = Accelerator::builder("scatter")
+            .sub_arch(generators::scatter(ArchParams::new(2, 2, 4, 4), 5.0).unwrap())
+            .build()
+            .unwrap();
+        let model = models::vgg8_cifar10();
+        let quant = QuantConfig::default();
+        let sampled =
+            ModelWorkload::extract(&model, &quant, &PruningConfig::new(0.5).unwrap(), 7).unwrap();
+        let shapes = ModelWorkload::shape_only(&model, &quant).unwrap();
+        let simulate = |workload: &ModelWorkload, data_awareness| {
+            Simulator::new(accel.clone())
+                .with_config(SimulationConfig {
+                    data_awareness,
+                    ..SimulationConfig::default()
+                })
+                .simulate(workload, &MappingPlan::default())
+        };
+        // The unaware energy model reads no weight value, so the samples
+        // change nothing.
+        assert_eq!(
+            simulate(&shapes, DataAwareness::Unaware).unwrap(),
+            simulate(&sampled, DataAwareness::Unaware).unwrap()
+        );
+        let err = simulate(&shapes, DataAwareness::Aware).expect_err("no samples to read");
+        assert_eq!(
+            err,
+            SimError::UnsampledWeights {
+                layer: shapes.layers()[0].name().to_string()
+            }
+        );
+        assert!(err.to_string().contains("conv1"), "{err}");
     }
 }

@@ -60,7 +60,6 @@ use simphony::{
     Accelerator, MappingPlan, Result as SimResult, SimError, SimulationReport, Simulator,
 };
 use simphony_onn::ModelWorkload;
-use simphony_units::BitWidth;
 
 use crate::cache::{content_key, CacheBackend, CacheStats};
 use crate::checkpoint::{Checkpoint, CheckpointFailure, ShardCheckpoint};
@@ -257,7 +256,10 @@ pub fn build_accelerator(point: &SweepPoint) -> SimResult<Accelerator> {
         .build()
 }
 
-/// Extracts the workload a sweep point describes.
+/// Extracts the workload a sweep point describes: with weight samples for a
+/// data-aware point, shape-only for a data-unaware one, whose energy model
+/// reads no weight value. Either way it is the artifact
+/// [`SweepPoint::workload_key`] names.
 ///
 /// Public for the same artifact-sharing reason as [`build_accelerator`].
 ///
@@ -265,9 +267,7 @@ pub fn build_accelerator(point: &SweepPoint) -> SimResult<Accelerator> {
 ///
 /// Propagates workload-extraction errors.
 pub fn extract_workload(point: &SweepPoint) -> SimResult<ModelWorkload> {
-    point
-        .workload
-        .extract(BitWidth::new(point.bits), point.sparsity, point.seed)
+    point.workload_key().extract()
 }
 
 /// Simulates one fully-bound configuration, extracting its artifacts from
@@ -542,15 +542,17 @@ impl ArtifactStore {
 }
 
 /// Estimated resident size of an extracted workload: its sampled weight
-/// codebooks dominate, so sum them plus a fixed per-layer overhead.
+/// codebooks dominate when present, so sum them plus a fixed per-layer
+/// overhead.
 fn workload_bytes(workload: &ModelWorkload) -> u64 {
     let layers: u64 = workload
         .layers()
         .iter()
         .map(|layer| {
-            (std::mem::size_of_val(layer.weight_magnitudes())
-                + std::mem::size_of_val(layer.weight_codes())) as u64
-                + 256
+            let samples = layer.samples().map_or(0, |samples| {
+                std::mem::size_of_val(samples.magnitudes()) + std::mem::size_of_val(samples.codes())
+            });
+            samples as u64 + 256
         })
         .sum();
     layers + 256
@@ -1713,6 +1715,97 @@ mod tests {
         let stats = store.lock().unwrap().stats();
         assert_eq!(stats.entries, 2);
         assert!(stats.bytes < 150 * 1024, "{} bytes resident", stats.bytes);
+    }
+
+    /// The benchmark's `extract_heavy` sweep: 192 data-unaware points over
+    /// 4 models, 3 bit widths, 4 sparsities and 2 families.
+    fn extract_heavy_spec() -> SweepSpec {
+        SweepSpec::new("extract-heavy")
+            .with_workload(vec![
+                WorkloadSpec::Bert { seq_len: 32 },
+                WorkloadSpec::Bert { seq_len: 64 },
+                WorkloadSpec::Bert { seq_len: 128 },
+                WorkloadSpec::Vgg8,
+            ])
+            .with_arch(vec![ArchFamily::Tempo, ArchFamily::MrrBank])
+            .with_bitwidth(vec![4, 6, 8])
+            .with_sparsity(vec![0.0, 0.25, 0.5, 0.75])
+            .with_dataflow(vec![
+                simphony_dataflow::DataflowStyle::OutputStationary,
+                simphony_dataflow::DataflowStyle::WeightStationary,
+            ])
+            .with_data_awareness(vec![simphony::DataAwareness::Unaware])
+    }
+
+    #[test]
+    fn unaware_points_build_one_workload_per_model_and_bit_width() {
+        let spec = extract_heavy_spec();
+        assert_eq!(spec.point_count().unwrap(), 192);
+        for chunk in [0, 64] {
+            let store = ArtifactStore::shared(ArtifactBudget::default());
+            let outcome = ExploreSession::new(&spec)
+                .chunk_size(chunk)
+                .artifact_store(Arc::clone(&store))
+                .run_collect()
+                .unwrap();
+            assert_eq!(outcome.records.len(), 192);
+            // 4 models x 3 bit widths shape-only workloads, plus the 2
+            // accelerators; sparsity no longer splits an unaware workload.
+            assert_eq!(store.lock().unwrap().stats().misses, 14, "chunk {chunk}");
+        }
+    }
+
+    #[test]
+    fn unaware_keys_ignore_sparsity_and_seed_and_never_equal_aware_keys() {
+        let spec = SweepSpec::new("keys")
+            .with_sparsity(vec![0.0, 0.5])
+            .with_data_awareness(vec![
+                simphony::DataAwareness::Aware,
+                simphony::DataAwareness::Unaware,
+            ]);
+        let mut points = spec.expand().unwrap();
+        let mut reseeded = points.clone();
+        for point in &mut reseeded {
+            point.seed += 1;
+        }
+        points.extend(reseeded);
+        let key = |point: &SweepPoint| point.workload_key();
+        let aware: HashSet<WorkloadKey> = points
+            .iter()
+            .filter(|p| p.data_awareness == simphony::DataAwareness::Aware)
+            .map(key)
+            .collect();
+        let unaware: HashSet<WorkloadKey> = points
+            .iter()
+            .filter(|p| p.data_awareness == simphony::DataAwareness::Unaware)
+            .map(key)
+            .collect();
+        assert_eq!(aware.len(), 4, "2 sparsities x 2 seeds");
+        assert_eq!(unaware.len(), 1, "one shape-only workload");
+        assert!(aware.is_disjoint(&unaware));
+    }
+
+    #[test]
+    fn only_aware_points_extract_weight_samples() {
+        let spec = SweepSpec::new("samples")
+            .with_workload(vec![WorkloadSpec::Vgg8])
+            .with_data_awareness(vec![
+                simphony::DataAwareness::Aware,
+                simphony::DataAwareness::Unaware,
+            ]);
+        let points = spec.expand().unwrap();
+        let (aware, unaware) = (&points[0], &points[1]);
+        let sampled = extract_workload(aware).unwrap();
+        let shapes = extract_workload(unaware).unwrap();
+        assert!(sampled.layers().iter().all(|l| l.samples().is_some()));
+        assert!(shapes.layers().iter().all(|l| l.samples().is_none()));
+        let accel = Arc::new(build_accelerator(aware).unwrap());
+        let err = simulate_point_with(aware, &accel, &shapes).expect_err("aware needs samples");
+        assert!(matches!(err, SimError::UnsampledWeights { .. }), "{err}");
+        assert_eq!(
+            simulate_point_with(unaware, &accel, &shapes).unwrap(),
+            simulate_point(unaware).unwrap()
+        );
     }
 
     #[test]

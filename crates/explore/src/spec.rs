@@ -8,7 +8,7 @@ use simphony::{DataAwareness, Result as SimResult, SimulationConfig};
 use simphony_arch::{generators, PtcArchitecture};
 use simphony_dataflow::DataflowStyle;
 use simphony_netlist::ArchParams;
-use simphony_onn::{models, ModelWorkload, PruningConfig, QuantConfig, MAX_WEIGHT_BITS};
+use simphony_onn::{models, Model, ModelWorkload, PruningConfig, QuantConfig, MAX_WEIGHT_BITS};
 use simphony_units::BitWidth;
 
 use crate::error::{ExploreError, Result};
@@ -157,24 +157,13 @@ impl WorkloadSpec {
         }
     }
 
-    /// Extracts the workload at the given precision/sparsity/seed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates workload-extraction errors.
-    pub fn extract(&self, bits: BitWidth, sparsity: f64, seed: u64) -> SimResult<ModelWorkload> {
-        let model = match self {
+    /// The model this selector names.
+    fn model(&self) -> Model {
+        match self {
             WorkloadSpec::Gemm { m, k, n } => models::single_gemm(*m, *k, *n),
             WorkloadSpec::Vgg8 => models::vgg8_cifar10(),
             WorkloadSpec::Bert { seq_len } => models::bert_base(*seq_len),
-        };
-        let pruning = PruningConfig::new(sparsity)?;
-        Ok(ModelWorkload::extract(
-            &model,
-            &QuantConfig::uniform(bits),
-            &pruning,
-            seed,
-        )?)
+        }
     }
 }
 
@@ -584,14 +573,36 @@ pub struct SweepPoint {
 /// Identity of the extracted-workload artifact of a sweep point: two points
 /// with equal keys extract bit-identical [`simphony_onn::ModelWorkload`]s, so
 /// a sweep extracts each distinct key once and shares the result.
+///
+/// A data-aware point's workload carries weight samples, drawn from the
+/// point's sparsity and seed, so it is keyed on workload × bits × sparsity ×
+/// seed. A data-unaware point's workload is shape-only and keyed on workload
+/// × bits alone: every unaware point of one model and precision shares it.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct WorkloadKey {
     workload: WorkloadSpec,
     bits: u8,
-    /// Sparsity as raw `f64` bits (extraction is a pure function of the exact
-    /// float value).
-    sparsity_bits: u64,
-    seed: u64,
+    /// What the weight samples are drawn from, as (sparsity as raw `f64`
+    /// bits, seed) — extraction is a pure function of the exact float
+    /// value — or `None` for a shape-only workload. `None` never equals
+    /// `Some`, so a shape-only workload can never serve a data-aware point.
+    samples: Option<(u64, u64)>,
+}
+
+impl WorkloadKey {
+    /// Extracts the workload this key names: with weight samples for a
+    /// data-aware point, shape-only for a data-unaware one.
+    pub(crate) fn extract(&self) -> SimResult<ModelWorkload> {
+        let model = self.workload.model();
+        let quant = QuantConfig::uniform(BitWidth::new(self.bits));
+        Ok(match self.samples {
+            Some((sparsity_bits, seed)) => {
+                let pruning = PruningConfig::new(f64::from_bits(sparsity_bits))?;
+                ModelWorkload::extract(&model, &quant, &pruning, seed)?
+            }
+            None => ModelWorkload::shape_only(&model, &quant)?,
+        })
+    }
 }
 
 /// Identity of the generated-accelerator artifact of a sweep point: two
@@ -614,8 +625,10 @@ impl SweepPoint {
         WorkloadKey {
             workload: self.workload.clone(),
             bits: self.bits,
-            sparsity_bits: self.sparsity.to_bits(),
-            seed: self.seed,
+            samples: match self.data_awareness {
+                DataAwareness::Aware => Some((self.sparsity.to_bits(), self.seed)),
+                DataAwareness::Unaware => None,
+            },
         }
     }
 

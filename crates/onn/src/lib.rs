@@ -14,7 +14,9 @@
 //!   multi-head-attention → GEMM decomposition, with dynamic-product flags;
 //! * [`QuantConfig`], [`PruningConfig`] — quantisation and magnitude pruning;
 //! * [`convert_model`] — layer-wise digital → ONN conversion with a noise model;
-//! * [`ModelWorkload::extract`] — the end product the simulator consumes.
+//! * [`ModelWorkload::extract`] — the end product the simulator consumes, and
+//!   [`ModelWorkload::shape_only`], the same layers without weight samples,
+//!   which is all a data-unaware simulation reads.
 //!
 //! # Examples
 //!
@@ -58,7 +60,7 @@ pub use prune::{magnitude_prune, PruningConfig};
 pub use quant::{quantize_symmetric, QuantConfig};
 pub use rng::SplitMix64;
 pub use tensor::Tensor;
-pub use workload::{LayerWorkload, ModelWorkload, WeightEncoding, MAX_WEIGHT_BITS};
+pub use workload::{LayerWorkload, ModelWorkload, WeightEncoding, WeightSamples, MAX_WEIGHT_BITS};
 
 #[cfg(test)]
 mod proptests {

@@ -14,11 +14,14 @@ use crate::prune::{magnitude_prune, PruningConfig};
 use crate::quant::{quantize_symmetric, quantizer_scale, QuantConfig};
 use crate::rng::SplitMix64;
 
-/// Maximum number of weight values sampled per layer for data-aware power
-/// modeling. Energies are scaled by the true element count, so the cap does
-/// not bound the simulated workload size. It bounds two costs per layer: the
-/// resident samples (one `u16` code each) and the data-aware power fold,
-/// which reads one table entry per sample on every simulated point.
+/// Maximum number of weight values sampled per layer of a
+/// [`ModelWorkload::extract`]ed workload, for data-aware power modeling.
+/// Energies are scaled by the true element count, so the cap does not bound
+/// the simulated workload size. It bounds three costs per layer: drawing,
+/// quantising and pruning the samples at extraction, the resident samples
+/// (one `u16` code each) and the data-aware power fold, which reads one table
+/// entry per sample on every simulated point. A
+/// [`ModelWorkload::shape_only`] workload pays none of them.
 const VALUE_SAMPLE_CAP: usize = 8192;
 
 /// Widest weight precision [`ModelWorkload::extract`] supports. Each sampled
@@ -55,16 +58,70 @@ impl fmt::Display for WeightEncoding {
     }
 }
 
-/// One GEMM workload extracted from a model layer.
+/// The sampled operand-A values of one layer: what data-aware power models
+/// read.
 ///
-/// The sampled operand-A values are stored as a quantization-level codebook:
-/// the layer's distinct sampled magnitudes in ascending order, plus one `u16`
-/// code per sample, in sample order, indexing them. A `b`-bit weight has at
-/// most `2^(b-1) + 1` magnitudes (9 at 4 bits, 129 at 8 bits), so value-aware
+/// The samples are stored as a quantization-level codebook: the layer's
+/// distinct sampled magnitudes in ascending order, plus one `u16` code per
+/// sample, in sample order, indexing them. A `b`-bit weight has at most
+/// `2^(b-1) + 1` magnitudes (9 at 4 bits, 129 at 8 bits), so value-aware
 /// power models are evaluated once per level instead of once per sample.
 ///
-/// Workloads are only built by [`ModelWorkload::extract`], which keeps every
+/// Samples are only built by [`ModelWorkload::extract`], which keeps every
 /// code within the codebook; there is deliberately no `Deserialize`.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct WeightSamples {
+    sparsity: f64,
+    magnitudes: Vec<f64>,
+    codes: Vec<u16>,
+}
+
+impl WeightSamples {
+    /// Draws `count` seeded Gaussian weights, quantises and magnitude-prunes
+    /// them, and splits them into a codebook.
+    fn draw(count: usize, quant: &QuantConfig, prune: &PruningConfig, seed: u64) -> Self {
+        let values = sample_weights(count, quant, prune, seed);
+        let sparsity = if values.is_empty() {
+            0.0
+        } else {
+            values.iter().filter(|v| **v == 0.0).count() as f64 / values.len() as f64
+        };
+        let (magnitudes, codes) = weight_codebook(&values, quant.weight_bits());
+        Self {
+            sparsity,
+            magnitudes,
+            codes,
+        }
+    }
+
+    /// Measured fraction of zero weights after pruning and quantisation.
+    pub fn sparsity(&self) -> f64 {
+        self.sparsity
+    }
+
+    /// The distinct magnitudes of the sampled operand-A values (quantised,
+    /// pruned), normalised to `[0, 1]` and strictly ascending: the quantity
+    /// value-aware device power models consume. A pruned weight has
+    /// magnitude `0.0`.
+    pub fn magnitudes(&self) -> &[f64] {
+        &self.magnitudes
+    }
+
+    /// One code per sampled operand-A value, in sample order: the index of
+    /// the sample's magnitude in [`magnitudes`](Self::magnitudes). A layer
+    /// has `min(weight_elements, 8192)` samples.
+    pub fn codes(&self) -> &[u16] {
+        &self.codes
+    }
+}
+
+/// One GEMM workload extracted from a model layer.
+///
+/// Shapes, precisions and the true weight count are always present. The
+/// weight [`samples`](Self::samples) are present only when the workload was
+/// built by [`ModelWorkload::extract`]: a [`ModelWorkload::shape_only`]
+/// workload carries none, and serves only simulations that never read
+/// weight values (data-unaware power).
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LayerWorkload {
     name: String,
@@ -75,9 +132,7 @@ pub struct LayerWorkload {
     weight_bits: BitWidth,
     input_bits: BitWidth,
     output_bits: BitWidth,
-    sparsity: f64,
-    weight_magnitudes: Vec<f64>,
-    weight_codes: Vec<u16>,
+    samples: Option<WeightSamples>,
     weight_elements: u64,
 }
 
@@ -122,24 +177,9 @@ impl LayerWorkload {
         self.output_bits
     }
 
-    /// Measured fraction of zero weights after pruning and quantisation.
-    pub fn sparsity(&self) -> f64 {
-        self.sparsity
-    }
-
-    /// The distinct magnitudes of the sampled operand-A values (quantised,
-    /// pruned), normalised to `[0, 1]` and strictly ascending: the quantity
-    /// value-aware device power models consume. A pruned weight has
-    /// magnitude `0.0`.
-    pub fn weight_magnitudes(&self) -> &[f64] {
-        &self.weight_magnitudes
-    }
-
-    /// One code per sampled operand-A value, in sample order: the index of
-    /// the sample's magnitude in [`weight_magnitudes`](Self::weight_magnitudes).
-    /// There are `min(weight_elements, 8192)` samples.
-    pub fn weight_codes(&self) -> &[u16] {
-        &self.weight_codes
+    /// The sampled operand-A values, or `None` for a shape-only workload.
+    pub fn samples(&self) -> Option<&WeightSamples> {
+        self.samples.as_ref()
     }
 
     /// True number of operand-A elements (the samples are a subset).
@@ -180,14 +220,16 @@ impl fmt::Display for LayerWorkload {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} {}: {} ({} MACs, {:.0}% sparse{})",
+            "{} {}: {} ({} MACs",
             self.name,
             self.label,
             self.gemm,
-            self.macs(),
-            self.sparsity * 100.0,
-            if self.dynamic { ", dynamic" } else { "" }
-        )
+            self.macs()
+        )?;
+        if let Some(samples) = &self.samples {
+            write!(f, ", {:.0}% sparse", samples.sparsity * 100.0)?;
+        }
+        f.write_str(if self.dynamic { ", dynamic)" } else { ")" })
     }
 }
 
@@ -217,7 +259,9 @@ pub struct ModelWorkload {
 
 impl ModelWorkload {
     /// Extracts the GEMM workload of `model` under the given quantisation and
-    /// pruning settings. `seed` controls the deterministic synthetic weights.
+    /// pruning settings, with every layer's weight
+    /// [`samples`](LayerWorkload::samples). `seed` controls the deterministic
+    /// synthetic weights.
     ///
     /// # Errors
     ///
@@ -229,6 +273,29 @@ impl ModelWorkload {
         quant: &QuantConfig,
         prune: &PruningConfig,
         seed: u64,
+    ) -> Result<Self> {
+        Self::lower(model, quant, Some((prune, seed)))
+    }
+
+    /// Lowers `model` to the same layers as [`extract`](Self::extract), with
+    /// every field but the weight samples: names, kinds, labels, GEMM shapes,
+    /// dynamic flags, precisions and true weight counts. No weight is drawn,
+    /// so this is what a data-unaware simulation needs at a fraction of the
+    /// cost; a data-aware one refuses it.
+    ///
+    /// # Errors
+    ///
+    /// The same as [`extract`](Self::extract).
+    pub fn shape_only(model: &Model, quant: &QuantConfig) -> Result<Self> {
+        Self::lower(model, quant, None)
+    }
+
+    /// The one extraction routine: lowers every GEMM layer of `model` and,
+    /// given pruning settings and a seed, samples its weights.
+    fn lower(
+        model: &Model,
+        quant: &QuantConfig,
+        sampling: Option<(&PruningConfig, u64)>,
     ) -> Result<Self> {
         let bits = quant.weight_bits().bits();
         if bits > MAX_WEIGHT_BITS {
@@ -267,16 +334,19 @@ impl ModelWorkload {
                 LayerSpec::Activation | LayerSpec::Normalization => continue,
             };
             for (sub_index, gemm) in lowered.into_iter().enumerate() {
-                let layer_seed = seed
-                    .wrapping_add(layer_index as u64 * 1013)
-                    .wrapping_add(sub_index as u64 * 7919);
+                let samples = sampling.map(|(prune, seed)| {
+                    let layer_seed = seed
+                        .wrapping_add(layer_index as u64 * 1013)
+                        .wrapping_add(sub_index as u64 * 7919);
+                    let count = (gemm.shape.operand_a_elements() as usize).min(VALUE_SAMPLE_CAP);
+                    WeightSamples::draw(count, quant, prune, layer_seed)
+                });
                 layers.push(build_layer_workload(
                     layer.name.clone(),
                     layer.spec.kind(),
                     gemm,
                     quant,
-                    prune,
-                    layer_seed,
+                    samples,
                 ));
             }
         }
@@ -346,24 +416,14 @@ fn build_layer_workload(
     kind: LayerKind,
     gemm: LoweredGemm,
     quant: &QuantConfig,
-    prune: &PruningConfig,
-    seed: u64,
+    samples: Option<WeightSamples>,
 ) -> LayerWorkload {
-    let true_elements = gemm.shape.operand_a_elements();
-    let sample_count = (true_elements as usize).min(VALUE_SAMPLE_CAP);
-    let values = sample_weights(sample_count, quant, prune, seed);
-    let sparsity = if values.is_empty() {
-        0.0
-    } else {
-        values.iter().filter(|v| **v == 0.0).count() as f64 / values.len() as f64
-    };
     let label = gemm.label.clone();
     let name = if label == "im2col_conv" || label == "linear" {
         name
     } else {
         format!("{name}.{label}")
     };
-    let (weight_magnitudes, weight_codes) = weight_codebook(&values, quant.weight_bits());
     LayerWorkload {
         name,
         kind,
@@ -373,10 +433,8 @@ fn build_layer_workload(
         weight_bits: quant.weight_bits(),
         input_bits: quant.input_bits(),
         output_bits: quant.output_bits(),
-        sparsity,
-        weight_magnitudes,
-        weight_codes,
-        weight_elements: true_elements,
+        samples,
+        weight_elements: gemm.shape.operand_a_elements(),
     }
 }
 
@@ -482,15 +540,15 @@ mod tests {
             7,
         )
         .expect("extraction succeeds");
-        let layer = &sparse.layers()[0];
-        assert!((layer.sparsity() - 0.6).abs() < 0.02);
-        let magnitudes = layer.weight_magnitudes();
-        let zeros = layer
-            .weight_codes()
+        let samples = sparse.layers()[0].samples().expect("extract samples");
+        assert!((samples.sparsity() - 0.6).abs() < 0.02);
+        let magnitudes = samples.magnitudes();
+        let zeros = samples
+            .codes()
             .iter()
             .filter(|&&code| magnitudes[usize::from(code)] == 0.0)
             .count();
-        assert!(zeros as f64 / layer.weight_codes().len() as f64 > 0.55);
+        assert!(zeros as f64 / samples.codes().len() as f64 > 0.55);
     }
 
     #[test]
@@ -509,7 +567,8 @@ mod tests {
         for model in [bert_base(196), vgg8_cifar10()] {
             for layer in dense_workload(&model).layers() {
                 let expected = (layer.weight_elements() as usize).min(VALUE_SAMPLE_CAP);
-                assert_eq!(layer.weight_codes().len(), expected, "{}", layer.name());
+                let samples = layer.samples().expect("extract samples");
+                assert_eq!(samples.codes().len(), expected, "{}", layer.name());
             }
         }
     }
@@ -527,15 +586,16 @@ mod tests {
                 .expect("extraction succeeds");
                 let bound = (1usize << (bits - 1)) + 1;
                 for layer in workload.layers() {
-                    let magnitudes = layer.weight_magnitudes();
+                    let samples = layer.samples().expect("extract samples");
+                    let magnitudes = samples.magnitudes();
                     assert!(
                         magnitudes.len() <= bound,
                         "{bits} bits: {}",
                         magnitudes.len()
                     );
                     assert!(magnitudes.windows(2).all(|w| w[0] < w[1]));
-                    assert!(layer
-                        .weight_codes()
+                    assert!(samples
+                        .codes()
                         .iter()
                         .all(|&code| usize::from(code) < magnitudes.len()));
                 }
@@ -584,6 +644,11 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("at most 16 bits"), "{err}");
+        let shapes = ModelWorkload::shape_only(
+            &single_gemm(8, 8, 8),
+            &QuantConfig::uniform(BitWidth::new(17)),
+        );
+        assert_eq!(shapes, Err(err));
     }
 
     #[test]
@@ -601,6 +666,10 @@ mod tests {
             ModelWorkload::extract(&model, &QuantConfig::default(), &PruningConfig::dense(), 1),
             Err(OnnError::EmptyWorkload { .. })
         ));
+        assert!(matches!(
+            ModelWorkload::shape_only(&model, &QuantConfig::default()),
+            Err(OnnError::EmptyWorkload { .. })
+        ));
     }
 
     #[test]
@@ -608,9 +677,43 @@ mod tests {
         let workload = dense_workload(&vgg8_cifar10());
         for layer in workload.layers() {
             assert!(layer
-                .weight_magnitudes()
+                .samples()
+                .expect("extract samples")
+                .magnitudes()
                 .iter()
                 .all(|v| (0.0..=1.0).contains(v)));
         }
+    }
+
+    #[test]
+    fn shape_only_workloads_match_extraction_in_everything_but_the_samples() {
+        for model in [vgg8_cifar10(), bert_base(32), single_gemm(64, 64, 64)] {
+            for bits in [4u8, 8] {
+                let quant = QuantConfig::uniform(BitWidth::new(bits));
+                let prune = PruningConfig::new(0.5).expect("valid");
+                let mut sampled = ModelWorkload::extract(&model, &quant, &prune, 42)
+                    .expect("extraction succeeds");
+                assert!(sampled.layers().iter().all(|l| l.samples().is_some()));
+                let shapes = ModelWorkload::shape_only(&model, &quant).expect("lowering succeeds");
+                assert!(shapes.layers().iter().all(|l| l.samples().is_none()));
+                // Names, kinds, labels, GEMM shapes, dynamic flags, bit widths
+                // and weight counts: every other field compares equal.
+                for layer in &mut sampled.layers {
+                    layer.samples = None;
+                }
+                assert_eq!(shapes, sampled, "{} at {bits} bits", model.name());
+            }
+        }
+    }
+
+    #[test]
+    fn only_sampled_layers_report_their_sparsity() {
+        let model = single_gemm(64, 64, 64);
+        let quant = QuantConfig::default();
+        let prune = PruningConfig::new(0.5).expect("valid");
+        let sampled = ModelWorkload::extract(&model, &quant, &prune, 7).expect("extracts");
+        let shapes = ModelWorkload::shape_only(&model, &quant).expect("lowers");
+        assert!(sampled.layers()[0].to_string().contains("% sparse"));
+        assert!(!shapes.layers()[0].to_string().contains("sparse"));
     }
 }
