@@ -27,7 +27,10 @@
 //! count rejects excess work with a `server busy` error instead of queuing
 //! unboundedly, per-request point budgets cap sweep size, and requests
 //! larger than [`ServeConfig::bulk_threshold`] serialize on a bulk lane so
-//! a million-point sweep cannot starve interactive `run` calls.
+//! a million-point sweep cannot starve interactive `run` calls. A request
+//! line longer than [`MAX_REQUEST_LINE_BYTES`] gets an exit-2 `error` frame
+//! and its connection is closed, so one client cannot make the daemon buffer
+//! an unbounded line.
 //!
 //! `simphony-cli serve` hosts the daemon; `simphony-cli serve --check`
 //! runs [`check`] against one.
@@ -77,5 +80,5 @@ pub use protocol::{
 };
 pub use server::{
     check, request, Client, ServeConfig, Server, DEFAULT_BULK_THRESHOLD, DEFAULT_MAX_PENDING,
-    DEFAULT_MAX_POINTS, DEFAULT_SERVE_CHUNK,
+    DEFAULT_MAX_POINTS, DEFAULT_SERVE_CHUNK, MAX_REQUEST_LINE_BYTES,
 };

@@ -29,6 +29,14 @@ pub const DEFAULT_BULK_THRESHOLD: usize = 256;
 /// promptly, large enough that shards amortize cache batch lookups.
 pub const DEFAULT_SERVE_CHUNK: usize = 64;
 
+/// Longest request line the daemon reads, in bytes, not counting the
+/// newline. Sized for inline `pareto` payloads: a sweep record is under 1 KiB
+/// of compact JSON, so 64 MiB carries the records of a full
+/// [`DEFAULT_MAX_POINTS`]-point sweep with room to spare. A longer line gets
+/// an `error` frame with exit code 2 and the connection is closed, so no
+/// connection holds more than this much of a request in memory.
+pub const MAX_REQUEST_LINE_BYTES: usize = 64 * 1024 * 1024;
+
 /// How often the accept loop and idle readers check the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
@@ -248,8 +256,15 @@ fn handle_connection(stream: TcpStream, state: &ServerState) -> io::Result<()> {
     write_line(&mut writer, &protocol::hello_frame())?;
     writer.flush()?;
     loop {
-        let Some(line) = read_request_line(&mut reader, state)? else {
-            return Ok(());
+        let line = match read_request_line(&mut reader, state)? {
+            Incoming::Line(line) => line,
+            Incoming::TooLong => {
+                let message = format!(
+                    "request line longer than {MAX_REQUEST_LINE_BYTES} bytes; closing the connection"
+                );
+                return send_frame(&mut writer, &protocol::error_frame(EXIT_USAGE, &message));
+            }
+            Incoming::Closed => return Ok(()),
         };
         if line.trim().is_empty() {
             continue;
@@ -261,18 +276,32 @@ fn handle_connection(stream: TcpStream, state: &ServerState) -> io::Result<()> {
     }
 }
 
-/// Reads one request line, waking every [`POLL_INTERVAL`] to notice
-/// shutdown. Returns `None` on EOF, or when the server is draining and the
-/// client is idle (no partial line buffered).
+/// One request line as [`read_request_line`] found it.
+enum Incoming {
+    /// A complete line, with its newline when it had one.
+    Line(String),
+    /// More than [`MAX_REQUEST_LINE_BYTES`] bytes arrived before a newline.
+    TooLong,
+    /// End of stream, or a draining server with an idle client.
+    Closed,
+}
+
+/// Reads one request line of at most [`MAX_REQUEST_LINE_BYTES`] bytes,
+/// waking every [`POLL_INTERVAL`] to notice shutdown. A line that is still
+/// going past the cap is [`Incoming::TooLong`]; the bytes past the cap are
+/// never buffered.
+///
+/// # Errors
+///
+/// Socket errors, and `InvalidData` for a line that is not UTF-8.
 fn read_request_line(
     reader: &mut BufReader<TcpStream>,
     state: &ServerState,
-) -> io::Result<Option<String>> {
-    let mut buf = String::new();
+) -> io::Result<Incoming> {
+    let mut buf = Vec::new();
     loop {
-        match reader.read_line(&mut buf) {
-            Ok(0) => return Ok(if buf.is_empty() { None } else { Some(buf) }),
-            Ok(_) => return Ok(Some(buf)),
+        let available = match reader.fill_buf() {
+            Ok(available) => available,
             Err(e)
                 if matches!(
                     e.kind(),
@@ -283,12 +312,32 @@ fn read_request_line(
             {
                 // Timeout tick: bytes read so far stay accumulated in `buf`.
                 if state.shutdown.load(Ordering::SeqCst) && buf.is_empty() {
-                    return Ok(None);
+                    return Ok(Incoming::Closed);
                 }
+                continue;
             }
             Err(e) => return Err(e),
+        };
+        if available.is_empty() {
+            if buf.is_empty() {
+                return Ok(Incoming::Closed);
+            }
+            break;
+        }
+        let newline = available.iter().position(|&b| b == b'\n');
+        let take = newline.map_or(available.len(), |end| end + 1);
+        if buf.len() + take - usize::from(newline.is_some()) > MAX_REQUEST_LINE_BYTES {
+            return Ok(Incoming::TooLong);
+        }
+        buf.extend_from_slice(&available[..take]);
+        reader.consume(take);
+        if newline.is_some() {
+            break;
         }
     }
+    String::from_utf8(buf)
+        .map(Incoming::Line)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 fn write_line(out: &mut impl Write, line: &str) -> io::Result<()> {

@@ -7,12 +7,13 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use simphony::DataAwareness;
 use simphony_explore::{
     pareto_front, read_jsonl, simulate_point, write_jsonl, CacheBackend, ExploreSession,
     FaultInjector, FaultKind, FaultPlan, FaultyCache, JsonlSink, Objective, PackedSegmentCache,
     RetryPolicy, SweepSpec,
 };
-use simphony_serve::{check, request, Client, ServeConfig, Server};
+use simphony_serve::{check, request, Client, ServeConfig, Server, MAX_REQUEST_LINE_BYTES};
 use simphony_traffic::{run_serving_with, ServingSpec};
 
 const TIMEOUT: Duration = Duration::from_secs(120);
@@ -212,6 +213,51 @@ fn run_report_matches_direct_simulation_and_artifacts_stay_warm() {
     assert_eq!(frame_field_u64(&lines[0], &["artifacts", "misses"]), 2);
     assert_eq!(frame_field_u64(&lines[0], &["artifacts", "hits"]), 2);
     assert_eq!(frame_field_u64(&lines[0], &["artifacts", "entries"]), 2);
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn aware_and_unaware_runs_never_share_a_resident_workload() {
+    // One daemon, one resident artifact store. Each configuration is sent in
+    // both modes, one configuration per order, so the first run of each pair
+    // leaves its workload resident before the second asks: an unaware run
+    // leaves a shape-only workload, which an aware run must never be served.
+    let server = Server::start(ephemeral_config(), None).expect("server starts");
+    let addr = server.local_addr().to_string();
+    let orders = [
+        (8, [DataAwareness::Aware, DataAwareness::Unaware]),
+        (4, [DataAwareness::Unaware, DataAwareness::Aware]),
+    ];
+    for (bits, order) in orders {
+        for awareness in order {
+            let spec = SweepSpec::new("run-awareness")
+                .with_wavelengths(vec![2])
+                .with_bitwidth(vec![bits])
+                .with_sparsity(vec![0.5])
+                .with_data_awareness(vec![awareness]);
+            let point = spec.expand().expect("expands").remove(0);
+            let expected = format!("{}\n", simulate_point(&point).expect("simulates"));
+            let line = format!(
+                "{{\"kind\":\"run\",\"spec\":{}}}",
+                serde_json::to_string(&spec).expect("spec serializes"),
+            );
+            let lines = request(&addr, &line, TIMEOUT).expect("run request");
+            let report: serde_json::Value = serde_json::from_str(&lines[0]).expect("frame parses");
+            assert_eq!(
+                report.get("text").and_then(|v| v.as_str()),
+                Some(expected.as_str()),
+                "{bits}-bit {awareness} run: {}",
+                lines[0]
+            );
+        }
+    }
+    // Four runs, four distinct workloads (a shared one would be a hit), and
+    // one accelerator built once.
+    let lines = request(&addr, "{\"kind\":\"cache-stats\"}", TIMEOUT).expect("stats");
+    assert_eq!(frame_field_u64(&lines[0], &["artifacts", "misses"]), 5);
+    assert_eq!(frame_field_u64(&lines[0], &["artifacts", "hits"]), 3);
 
     server.shutdown();
     server.join();
@@ -452,6 +498,49 @@ fn malformed_requests_are_usage_errors_and_do_not_kill_the_connection() {
     // connection gets its pong.
     check(&addr, Duration::from_secs(5)).expect("health check succeeds");
 
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn an_over_long_request_line_is_refused_and_its_connection_closed() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let server = Server::start(ephemeral_config(), None).expect("server starts");
+    let addr = server.local_addr().to_string();
+    let stream = std::net::TcpStream::connect(&addr).expect("connects");
+    stream
+        .set_read_timeout(Some(TIMEOUT))
+        .expect("timeout sets");
+    let mut reader = BufReader::new(stream.try_clone().expect("stream clones"));
+    let mut hello = String::new();
+    reader.read_line(&mut hello).expect("hello arrives");
+
+    // One byte past the cap and no newline. The daemon reads every byte
+    // sent before it answers, so its close cannot reset the connection
+    // ahead of the frame.
+    let mut writer = stream;
+    let block = vec![b'x'; 1 << 20];
+    let mut left = MAX_REQUEST_LINE_BYTES + 1;
+    while left > 0 {
+        let n = left.min(block.len());
+        writer.write_all(&block[..n]).expect("line streams");
+        left -= n;
+    }
+    let mut frame = String::new();
+    reader.read_line(&mut frame).expect("error frame arrives");
+    assert!(frame.starts_with("{\"frame\":\"error\""), "{frame}");
+    assert_eq!(frame_field_u64(&frame, &["exit_code"]), 2);
+    assert!(frame.contains("longer than"), "{frame}");
+    let mut rest = String::new();
+    assert_eq!(
+        reader.read_line(&mut rest).expect("clean close"),
+        0,
+        "the connection closes after the frame: {rest:.80}"
+    );
+
+    // The daemon keeps serving new connections.
+    check(&addr, Duration::from_secs(5)).expect("health check succeeds");
     server.shutdown();
     server.join();
 }
