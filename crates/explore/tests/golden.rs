@@ -16,6 +16,15 @@
 //! both the data-aware and the data-unaware mode. It pins the unaware
 //! records, which read no weight samples, and the artifact keys that decide
 //! which points share a workload.
+//!
+//! `golden/families_records.jsonl` is the `simphony-cli sweep --jsonl`
+//! output of `golden/families_spec.json`, written by the engine that still
+//! folded the data-aware weight power once per point and weight-device
+//! instance: VGG-8 on all seven architecture families, 56 data-aware points.
+//! It pins every family's weight power model, including the MZI mesh's
+//! three weight instances, the butterfly mesh that shares the MZI mesh's
+//! weight device, the PCM crossbar's static power and SCATTER's measured
+//! lookup table.
 
 use simphony_explore::{ExploreSession, SweepSpec};
 
@@ -23,6 +32,22 @@ const GOLDEN_SPEC: &str = include_str!("golden/mixed_axis_spec.json");
 const GOLDEN_RECORDS: &str = include_str!("golden/mixed_axis_records.json");
 const AWARENESS_SPEC: &str = include_str!("golden/awareness_spec.json");
 const AWARENESS_RECORDS: &str = include_str!("golden/awareness_records.jsonl");
+const FAMILIES_SPEC: &str = include_str!("golden/families_spec.json");
+const FAMILIES_RECORDS: &str = include_str!("golden/families_records.jsonl");
+
+/// Runs `spec` at `chunk` (0 = unchunked) and renders its records the way
+/// `JsonlSink` writes them: compact JSON plus a newline each.
+fn jsonl_records(spec: &SweepSpec, chunk: usize) -> String {
+    let outcome = ExploreSession::new(spec)
+        .chunk_size(chunk)
+        .run_collect()
+        .expect("sweep runs");
+    outcome
+        .records
+        .iter()
+        .map(|record| serde_json::to_string(record).expect("record serializes") + "\n")
+        .collect()
+}
 
 #[test]
 fn sweep_engine_matches_pre_refactor_golden_records() {
@@ -71,19 +96,26 @@ fn aware_and_unaware_records_match_their_golden_bytes_across_shards() {
     // out of the store a previous shard published: a key that let an unaware
     // workload serve an aware point (or the reverse) would show here.
     for chunk in [0, 1] {
-        let outcome = ExploreSession::new(&spec)
-            .chunk_size(chunk)
-            .run_collect()
-            .expect("awareness sweep runs");
-        // `JsonlSink` writes each record as compact JSON plus a newline.
-        let rendered: String = outcome
-            .records
-            .iter()
-            .map(|record| serde_json::to_string(record).expect("record serializes") + "\n")
-            .collect();
         assert_eq!(
-            rendered, AWARENESS_RECORDS,
+            jsonl_records(&spec, chunk),
+            AWARENESS_RECORDS,
             "records diverged from the awareness golden bytes at chunk size {chunk}"
+        );
+    }
+}
+
+#[test]
+fn every_family_matches_its_golden_bytes_across_shards() {
+    let spec: SweepSpec = serde_json::from_str(FAMILIES_SPEC).expect("families spec parses");
+    assert_eq!(spec.point_count().expect("families spec counts"), 56);
+    // Unchunked, one shard holds every family, so families that share a
+    // weight power model share its folds; at chunk size 1 no point shares
+    // anything with another; chunk size 7 cuts across both.
+    for chunk in [0, 1, 7] {
+        assert_eq!(
+            jsonl_records(&spec, chunk),
+            FAMILIES_RECORDS,
+            "records diverged from the families golden bytes at chunk size {chunk}"
         );
     }
 }
