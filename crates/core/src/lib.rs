@@ -57,7 +57,7 @@ pub use accelerator::{Accelerator, AcceleratorBuilder, LinkConfig, MemoryConfig}
 pub use area::{area_report, AreaReport};
 pub use energy::{
     data_movement_energy, layer_energy_with_counts, DataAwareness, EnergyBreakdown, EnergyKind,
-    LayerEnergyReport,
+    LayerEnergyReport, MemoizedLayer, WeightPowerMemo,
 };
 pub use error::{Result, SimError};
 pub use link_budget::{laser_power_per_path, link_budget, LinkBudgetReport};
@@ -76,5 +76,6 @@ mod tests {
         assert_send_sync::<Simulator>();
         assert_send_sync::<SimulationReport>();
         assert_send_sync::<SimError>();
+        assert_send_sync::<WeightPowerMemo<'_>>();
     }
 }

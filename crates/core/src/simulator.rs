@@ -18,7 +18,7 @@ use crate::accelerator::Accelerator;
 use crate::area::{area_report, AreaReport};
 use crate::energy::{
     data_movement_energy, layer_energy_with_counts, DataAwareness, EnergyBreakdown,
-    LayerEnergyReport,
+    LayerEnergyReport, WeightPowerMemo,
 };
 use crate::error::{Result, SimError};
 use crate::link_budget::{link_budget, LinkBudgetReport};
@@ -366,6 +366,12 @@ impl Simulator {
 
     /// Simulates a workload under a layer-to-sub-architecture mapping plan.
     ///
+    /// The data-aware weight power goes through a fresh [`WeightPowerMemo`],
+    /// so each layer folds it once, however many instances name the weight
+    /// device (two on TeMPO, three on the MZI mesh). To share the folds
+    /// across simulations of one workload, use
+    /// [`simulate_memoized`](Self::simulate_memoized).
+    ///
     /// # Errors
     ///
     /// Propagates mapping, device, memory and layout errors; returns
@@ -379,6 +385,24 @@ impl Simulator {
         workload: &ModelWorkload,
         plan: &MappingPlan,
     ) -> Result<SimulationReport> {
+        self.simulate_memoized(&WeightPowerMemo::new(workload), plan)
+    }
+
+    /// Simulates the workload `memo` was built over, folding its data-aware
+    /// weight power through `memo`: a (layer, power model) pair an earlier
+    /// simulation folded is not folded again, whatever the accelerator or
+    /// configuration. The report is bit-identical to
+    /// [`simulate`](Self::simulate)'s.
+    ///
+    /// # Errors
+    ///
+    /// As [`simulate`](Self::simulate).
+    pub fn simulate_memoized(
+        &self,
+        memo: &WeightPowerMemo<'_>,
+        plan: &MappingPlan,
+    ) -> Result<SimulationReport> {
+        let workload = memo.workload();
         let library = self.accelerator.library();
         let subs = self.accelerator.sub_archs();
 
@@ -405,7 +429,8 @@ impl Simulator {
         let mut total_cycles = 0u64;
         let mut total_time = Time::ZERO;
 
-        for (layer, placement) in workload.layers().iter().zip(&placed) {
+        for (memoized, placement) in memo.layers().zip(&placed) {
+            let layer = memoized.workload();
             let arch = &subs[placement.sub_arch];
             let link = &link_budgets[placement.sub_arch];
             let counts = &instance_counts[placement.sub_arch];
@@ -417,7 +442,7 @@ impl Simulator {
                 library,
                 link,
                 counts,
-                layer,
+                memoized,
                 &latency,
                 self.config.data_awareness,
             )?
@@ -677,5 +702,70 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("conv1"), "{err}");
+    }
+
+    #[test]
+    fn one_memo_folds_each_layer_once_per_weight_power_model() {
+        let vgg8 = ModelWorkload::extract(
+            &models::vgg8_cifar10(),
+            &QuantConfig::default(),
+            &PruningConfig::new(0.5).unwrap(),
+            42,
+        )
+        .unwrap();
+        let layers = vgg8.layers().len();
+        let plan = MappingPlan::default();
+        let families = [
+            generators::tempo,
+            generators::mzi_mesh,
+            generators::mrr_bank,
+            generators::butterfly,
+            generators::pcm_crossbar,
+            generators::scatter,
+            generators::scatter_measured,
+        ];
+        let simulators: Vec<Simulator> = families
+            .iter()
+            .map(|generate| {
+                let arch = generate(ArchParams::new(2, 2, 4, 4), 5.0).unwrap();
+                Simulator::new(
+                    Accelerator::builder("family")
+                        .sub_arch(arch)
+                        .build()
+                        .unwrap(),
+                )
+            })
+            .collect();
+
+        // Seven families, six weight power models: the butterfly mesh shares
+        // the MZI mesh's `mzi_thermal`.
+        let memo = WeightPowerMemo::new(&vgg8);
+        for simulator in &simulators {
+            assert_eq!(
+                simulator.simulate_memoized(&memo, &plan).unwrap(),
+                simulator.simulate(&vgg8, &plan).unwrap()
+            );
+        }
+        assert_eq!(memo.folds(), 6 * layers);
+        for simulator in &simulators {
+            simulator.simulate_memoized(&memo, &plan).unwrap();
+        }
+        assert_eq!(memo.folds(), 6 * layers, "a second pass only hits");
+
+        // TeMPO names its weight device twice and the MZI mesh three times,
+        // yet the fresh memo of one plain simulation folds each layer once.
+        for (simulator, instances) in simulators.iter().zip([2, 3]) {
+            let arch = &simulator.accelerator().sub_archs()[0];
+            let weight_instances = arch
+                .netlist()
+                .instances()
+                .iter()
+                .filter(|inst| inst.device() == arch.weight_device())
+                .count();
+            assert_eq!(weight_instances, instances, "{}", arch.name());
+            let fresh = WeightPowerMemo::new(&vgg8);
+            simulator.simulate_memoized(&fresh, &plan).unwrap();
+            assert_eq!(fresh.folds(), layers, "{}", arch.name());
+        }
     }
 }

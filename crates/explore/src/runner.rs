@@ -11,7 +11,9 @@
 //!   ([`SweepPoint::workload_key`] and [`SweepPoint::arch_key`]), extracts
 //!   each distinct workload and generates each distinct accelerator once
 //!   (reusing `Arc`s still live from the previous shard), simulates the
-//!   misses on a rayon-style thread pool, and renders each fresh record's
+//!   misses on a rayon-style thread pool with one weight power memo per
+//!   workload (each layer's data-aware weight power is folded once per
+//!   weight power model in the shard), and renders each fresh record's
 //!   cache entry to JSON *on the worker threads*;
 //! * the **I/O stage** persists the completed shard with the durability
 //!   contract intact — cache writes and flush, then sink emission (in
@@ -58,6 +60,7 @@ use rayon::prelude::*;
 
 use simphony::{
     Accelerator, MappingPlan, Result as SimResult, SimError, SimulationReport, Simulator,
+    WeightPowerMemo,
 };
 use simphony_onn::ModelWorkload;
 
@@ -301,9 +304,19 @@ pub fn simulate_point_with(
     accel: &Arc<Accelerator>,
     workload: &ModelWorkload,
 ) -> SimResult<SimulationReport> {
+    simulate_point_memoized(point, accel, &WeightPowerMemo::new(workload))
+}
+
+/// Simulates a point against pre-built artifacts, folding the data-aware
+/// weight power through `memo` (the workload is the memo's).
+fn simulate_point_memoized(
+    point: &SweepPoint,
+    accel: &Arc<Accelerator>,
+    memo: &WeightPowerMemo<'_>,
+) -> SimResult<SimulationReport> {
     Simulator::shared(Arc::clone(accel))
         .with_config(point.sim_config())
-        .simulate(workload, &MappingPlan::default())
+        .simulate_memoized(memo, &MappingPlan::default())
 }
 
 /// Default entry cap of a session-local [`ArtifactStore`].
@@ -658,14 +671,49 @@ impl ShardArtifacts {
         shard
     }
 
+    /// The shard's artifacts with one [`WeightPowerMemo`] per workload, for
+    /// every point of the shard and every thread simulating one: the shard
+    /// folds each layer's data-aware weight power once per weight power
+    /// model, not once per point and weight-device instance. The memos
+    /// borrow the shard's workloads and are dropped with the shard, so
+    /// nothing outlives it.
+    fn memoized(&self) -> MemoizedShard<'_> {
+        MemoizedShard {
+            workloads: self
+                .workloads
+                .iter()
+                .map(|(key, workload)| (key, workload.as_deref().map(WeightPowerMemo::new)))
+                .collect(),
+            accelerators: &self.accelerators,
+        }
+    }
+}
+
+/// A shard's artifacts, ready to simulate: see [`ShardArtifacts::memoized`].
+pub(crate) struct MemoizedShard<'a> {
+    workloads: HashMap<&'a WorkloadKey, std::result::Result<WeightPowerMemo<'a>, &'a SimError>>,
+    accelerators: &'a HashMap<ArchKey, std::result::Result<Arc<Accelerator>, SimError>>,
+}
+
+impl MemoizedShard<'_> {
     fn simulate(&self, point: &SweepPoint) -> SimResult<SimulationReport> {
-        let workload = self.workloads[&point.workload_key()]
+        let memo = self.workloads[&point.workload_key()]
             .as_ref()
-            .map_err(SimError::clone)?;
+            .map_err(|&error| error.clone())?;
         let accel = self.accelerators[&point.arch_key()]
             .as_ref()
             .map_err(SimError::clone)?;
-        simulate_point_with(point, accel, workload)
+        simulate_point_memoized(point, accel, memo)
+    }
+
+    /// Folds run so far by the shard's memos.
+    #[cfg(test)]
+    fn folds(&self) -> usize {
+        self.workloads
+            .values()
+            .filter_map(|memo| memo.as_ref().ok())
+            .map(WeightPowerMemo::folds)
+            .sum()
     }
 }
 
@@ -683,7 +731,9 @@ pub fn simulate_point_shared(
     store: &std::sync::Mutex<ArtifactStore>,
     point: &SweepPoint,
 ) -> SimResult<SimulationReport> {
-    ShardArtifacts::build(&[point], store).simulate(point)
+    ShardArtifacts::build(&[point], store)
+        .memoized()
+        .simulate(point)
 }
 
 /// A record ready for the I/O stage. Fresh simulations carry their cache
@@ -752,7 +802,10 @@ fn recorded_failures(failures: &[CheckpointFailure]) -> impl Iterator<Item = Poi
 /// lookups, artifact construction, parallel simulation, and record/cache-entry
 /// serialization — everything up to, but not including, durability I/O.
 /// `artifacts` is the resident store live artifacts flow through across shard
-/// (and sweep) boundaries.
+/// (and sweep) boundaries. The shard's points and threads share one weight
+/// power memo per workload ([`ShardArtifacts::memoized`]), so the shard folds
+/// each layer's data-aware weight power once per weight power model; the
+/// memos are dropped with the shard.
 pub(crate) fn compute_shard(
     spec: &SweepSpec,
     cache: Option<&dyn CacheBackend>,
@@ -834,10 +887,11 @@ pub(crate) fn compute_shard(
         let missed_refs: Vec<&SweepPoint> = missed.iter().collect();
         ShardArtifacts::build(&missed_refs, artifacts)
     };
+    let memoized = shard_artifacts.memoized();
     type PointResult = std::result::Result<PreparedRecord, PointFailure>;
     let computed: Vec<Result<PointResult>> = missed
         .into_par_iter()
-        .map(|point| match shard_artifacts.simulate(&point) {
+        .map(|point| match memoized.simulate(&point) {
             Ok(report) => {
                 let record = SweepRecord::from_report(point, &report);
                 let key = content_key(&record.point);
@@ -1735,6 +1789,54 @@ mod tests {
                 simphony_dataflow::DataflowStyle::WeightStationary,
             ])
             .with_data_awareness(vec![simphony::DataAwareness::Unaware])
+    }
+
+    /// The benchmark's `dse_aware` sweep: 896 data-aware VGG-8 points over
+    /// every family, 2 core sizes, 4 wavelength counts, 2 bit widths, 2
+    /// sparsities and 2 dataflows.
+    fn dse_aware_spec() -> SweepSpec {
+        SweepSpec::new("dse-aware")
+            .with_workload(vec![WorkloadSpec::Vgg8])
+            .with_arch(ArchFamily::ALL.to_vec())
+            .with_core_dims(vec![4, 8])
+            .with_wavelengths(vec![1, 2, 4, 8])
+            .with_bitwidth(vec![4, 8])
+            .with_sparsity(vec![0.0, 0.5])
+            .with_dataflow(vec![
+                simphony_dataflow::DataflowStyle::OutputStationary,
+                simphony_dataflow::DataflowStyle::WeightStationary,
+            ])
+            .with_data_awareness(vec![simphony::DataAwareness::Aware])
+    }
+
+    #[test]
+    fn a_shard_folds_each_layer_once_per_workload_and_weight_power_model() {
+        let spec = dse_aware_spec();
+        let total = spec.point_count().unwrap();
+        assert_eq!(total, 896);
+        // 4 workloads x 6 weight power models x 8 layers unchunked; 4 (workload, model)
+        // pairs per 64-point shard; 8 folds per point at chunk size 1. One fold per
+        // weight-device instance and point, without memos, would be 10,240.
+        for (chunk, expected) in [(64, 448), (0, 192), (1, 7_168)] {
+            let store = std::sync::Mutex::new(ArtifactStore::new(ArtifactBudget::unbounded()));
+            let size = effective_shard_size(&StreamOptions::chunked(chunk), total);
+            let mut folds = 0;
+            for start in (0..total).step_by(size) {
+                let points: Vec<SweepPoint> = (start..(start + size).min(total))
+                    .map(|i| spec.point_at(i))
+                    .collect();
+                let refs: Vec<&SweepPoint> = points.iter().collect();
+                let artifacts = ShardArtifacts::build(&refs, &store);
+                let memoized = artifacts.memoized();
+                let reports: Vec<SimResult<SimulationReport>> = points
+                    .par_iter()
+                    .map(|point| memoized.simulate(point))
+                    .collect();
+                assert!(reports.iter().all(SimResult::is_ok));
+                folds += memoized.folds();
+            }
+            assert_eq!(folds, expected, "chunk size {chunk}");
+        }
     }
 
     #[test]

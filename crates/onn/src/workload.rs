@@ -20,8 +20,10 @@ use crate::rng::SplitMix64;
 /// the simulated workload size. It bounds three costs per layer: drawing,
 /// quantising and pruning the samples at extraction, the resident samples
 /// (one `u16` code each) and the data-aware power fold, which reads one table
-/// entry per sample on every simulated point. A
-/// [`ModelWorkload::shape_only`] workload pays none of them.
+/// entry per sample once per weight power model (the simulator memoizes the
+/// fold per layer and power model; a sweep shard shares one memo per
+/// workload across its points). A [`ModelWorkload::shape_only`] workload
+/// pays none of them.
 const VALUE_SAMPLE_CAP: usize = 8192;
 
 /// Widest weight precision [`ModelWorkload::extract`] supports. Each sampled
