@@ -47,6 +47,7 @@
 //! Exit codes: 0 on success, 1 on a hard error, 2 on a usage error, and
 //! 3 when a `--keep-going` sweep completed but recorded point failures.
 
+use std::fmt;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -63,6 +64,42 @@ use simphony_serve::{
     distribute_sweep, DistConfig, ServeConfig, Server, EXIT_USAGE, PROTOCOL_VERSION,
 };
 use simphony_traffic::{run_serving_with, Discipline, ServingRecord, ServingSpec};
+
+/// Writes `args` to standard output: the one path every verb prints through.
+///
+/// A reader that closes the pipe early (`simphony-cli spec | head -1`) has
+/// all the output it wants, so a broken pipe ends the process quietly with
+/// exit 0, where `print!` would panic. Any other write error is a hard error
+/// (exit 1).
+fn write_stdout(args: fmt::Arguments<'_>) {
+    use std::io::Write as _;
+    let written = {
+        let mut stdout = std::io::stdout().lock();
+        stdout.write_fmt(args).and_then(|()| stdout.flush())
+    };
+    match written {
+        Ok(()) => {}
+        Err(err) if err.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(err) => {
+            eprintln!("error: writing to stdout: {err}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 fn arch_family_list() -> String {
     ArchFamily::ALL
@@ -654,7 +691,7 @@ fn print_shard_progress(shard: &ShardProgress) {
 fn print_outcome(spec: &SweepSpec, outcome: &StreamOutcome, quiet: bool) {
     if !quiet {
         let live_failures = outcome.failures.len() - outcome.replayed_failures;
-        println!(
+        outln!(
             "sweep `{}`: {} points ({} skipped via checkpoint, {} cached, {} simulated, \
              {} failed, {} known-bad replayed)",
             spec.name,
@@ -788,9 +825,9 @@ fn cmd_sweep(matches: &clap::ArgMatches) -> Result<ExitCode, ExploreError> {
         // With no output file the records go to stdout — --quiet only
         // suppresses the summary and progress lines, never the results.
         let outcome = session.run_collect()?;
-        print!("{}", to_csv(&outcome.records));
+        out!("{}", to_csv(&outcome.records));
         if !quiet {
-            println!(
+            outln!(
                 "sweep `{}`: {} points ({} cached, {} simulated)",
                 spec.name,
                 outcome.records.len(),
@@ -886,7 +923,7 @@ fn cmd_sweep_distributed(
             &mut progress,
             checkpoint.as_mut(),
         )?;
-        print!("{}", to_csv(sink.records()));
+        out!("{}", to_csv(sink.records()));
         print_outcome(spec, &outcome, quiet);
         return Ok(outcome_exit(&outcome));
     }
@@ -1003,7 +1040,7 @@ fn cmd_resume(matches: &clap::ArgMatches) -> Result<ExitCode, ExploreError> {
     };
     print_outcome(&spec, &outcome, quiet);
     if !quiet {
-        println!("resumed `{jsonl}` from {emitted} checkpointed records");
+        outln!("resumed `{jsonl}` from {emitted} checkpointed records");
     }
     Ok(outcome_exit(&outcome))
 }
@@ -1064,16 +1101,16 @@ fn truncate_jsonl_prefix(path: &str, keep: usize) -> Result<(), ExploreError> {
 fn cmd_cache_stats(matches: &clap::ArgMatches) -> Result<(), ExploreError> {
     let dir: String = matches.get_one("dir").expect("required");
     let stats = PackedSegmentCache::open(&dir)?.stats()?;
-    println!("cache `{dir}`");
-    println!("  entries: {}", stats.entries);
-    println!("  bytes:   {}", stats.bytes);
-    println!("  segments: {}", stats.segments);
-    println!("  shadowed: {}", stats.shadowed);
+    outln!("cache `{dir}`");
+    outln!("  entries: {}", stats.entries);
+    outln!("  bytes:   {}", stats.bytes);
+    outln!("  segments: {}", stats.segments);
+    outln!("  shadowed: {}", stats.shadowed);
     if let Some(checkpoint) = matches.get_one::<String>("checkpoint") {
         let (_, completed) = Checkpoint::load(checkpoint)?;
         let hits: usize = completed.iter().map(|s| s.hits).sum();
         let misses: usize = completed.iter().map(|s| s.misses).sum();
-        println!(
+        outln!(
             "  last session ({} shards checkpointed): {hits} hits, {misses} misses",
             completed.len()
         );
@@ -1097,7 +1134,7 @@ fn cmd_serve_sim(matches: &clap::ArgMatches) -> Result<(), ExploreError> {
         let mut sink = VecSink::new();
         let outcome = run_serving_with(&spec, &mut sink, chunk_size)?;
         for r in sink.records() {
-            println!(
+            outln!(
                 "#{} {}: p50 {:.3} ms, p99 {:.3} ms, p99.9 {:.3} ms | {:.1} req/s | \
                  util {:.1}% | {:.2} uJ/req | {} dropped",
                 r.point.index,
@@ -1112,9 +1149,11 @@ fn cmd_serve_sim(matches: &clap::ArgMatches) -> Result<(), ExploreError> {
             );
         }
         if !quiet {
-            println!(
+            outln!(
                 "serving `{}`: {} points over {} shards",
-                spec.name, outcome.points, outcome.shards
+                spec.name,
+                outcome.points,
+                outcome.shards
             );
         }
         return Ok(());
@@ -1132,9 +1171,11 @@ fn cmd_serve_sim(matches: &clap::ArgMatches) -> Result<(), ExploreError> {
     }
     let outcome = run_serving_with(&spec, &mut sink, chunk_size)?;
     if !quiet {
-        println!(
+        outln!(
             "serving `{}`: {} points over {} shards",
-            spec.name, outcome.points, outcome.shards
+            spec.name,
+            outcome.points,
+            outcome.shards
         );
     }
     Ok(())
@@ -1144,7 +1185,7 @@ fn cmd_serve(matches: &clap::ArgMatches) -> Result<(), ExploreError> {
     // `--check` is the scriptable health probe: handshake + ping, exit 0/1.
     if let Some(addr) = matches.get_one::<String>("check") {
         simphony_serve::check(&addr, std::time::Duration::from_secs(2))?;
-        println!("ok: daemon at `{addr}` answers protocol {PROTOCOL_VERSION}");
+        outln!("ok: daemon at `{addr}` answers protocol {PROTOCOL_VERSION}");
         return Ok(());
     }
 
@@ -1165,17 +1206,14 @@ fn cmd_serve(matches: &clap::ArgMatches) -> Result<(), ExploreError> {
     let server = Server::start(config, cache)?;
     // The resolved address (port 0 becomes a real port) goes to stdout so
     // scripts and tests can discover where the daemon landed.
-    println!(
+    outln!(
         "simphony-serve listening on {} (protocol {PROTOCOL_VERSION})",
         server.local_addr()
     );
-    use std::io::Write as _;
-    std::io::stdout()
-        .flush()
-        .map_err(|e| ExploreError::io_at("stdout", e))?;
     // Blocks until a client sends a `shutdown` request.
     server.join();
     // Best-effort farewell: whoever captured stdout may be gone by now.
+    use std::io::Write as _;
     let _ = writeln!(std::io::stdout(), "simphony-serve: shutdown complete");
     Ok(())
 }
@@ -1207,16 +1245,13 @@ fn cmd_worker(matches: &clap::ArgMatches) -> Result<(), ExploreError> {
     let server = Server::start(config, cache)?;
     // The resolved address (port 0 becomes a real port) goes to stdout so
     // the coordinator's --workers list can be scripted.
-    println!(
+    outln!(
         "simphony-worker listening on {} (protocol {PROTOCOL_VERSION})",
         server.local_addr()
     );
-    use std::io::Write as _;
-    std::io::stdout()
-        .flush()
-        .map_err(|e| ExploreError::io_at("stdout", e))?;
     // Blocks until a client sends a `shutdown` request.
     server.join();
+    use std::io::Write as _;
     let _ = writeln!(std::io::stdout(), "simphony-worker: shutdown complete");
     Ok(())
 }
@@ -1251,7 +1286,7 @@ fn csv_render<R: CsvRecord>(records: &[R]) -> String {
 }
 
 fn print_front_summary(objectives: &[Objective], kept: usize, total: usize) {
-    println!(
+    outln!(
         "pareto frontier over [{}]: {kept} of {total} points",
         objectives
             .iter()
@@ -1270,7 +1305,7 @@ fn cmd_pareto(matches: &clap::ArgMatches) -> Result<(), ExploreError> {
         let records: Vec<ServingRecord> = read_records_as(&records_path)?;
         let front = pareto_front(&records, &objectives)?;
         print_front_summary(&objectives, front.len(), records.len());
-        print!("{}", csv_render(&front));
+        out!("{}", csv_render(&front));
         if let Some(out) = matches.get_one::<String>("out") {
             let text = serde_json::to_string_pretty(&front)?;
             std::fs::write(&out, text + "\n").map_err(|e| ExploreError::io_at(&out, e))?;
@@ -1289,7 +1324,7 @@ fn cmd_pareto(matches: &clap::ArgMatches) -> Result<(), ExploreError> {
     let records = read_records(&records_path)?;
     let front = pareto_front(&records, &objectives)?;
     print_front_summary(&objectives, front.len(), records.len());
-    print!("{}", to_csv(&front));
+    out!("{}", to_csv(&front));
     if let Some(out) = matches.get_one::<String>("out") {
         write_json(out, &front)?;
     }
@@ -1362,7 +1397,7 @@ fn cmd_run(matches: &clap::ArgMatches) -> Result<ExitCode, ExploreError> {
             label: points[0].label(),
             source,
         })?;
-    println!("{report}");
+    outln!("{report}");
     Ok(ExitCode::SUCCESS)
 }
 
@@ -1373,13 +1408,13 @@ fn cmd_spec(matches: &clap::ArgMatches) -> Result<(), ExploreError> {
             .with_fleet_size(vec![1, 2])
             .with_discipline(Discipline::ALL.to_vec())
             .with_batch_size(vec![1, 4]);
-        println!("{}", serde_json::to_string_pretty(&example)?);
+        outln!("{}", serde_json::to_string_pretty(&example)?);
         return Ok(());
     }
     let example = SweepSpec::new("example")
         .with_arch(vec![ArchFamily::Tempo, ArchFamily::Scatter])
         .with_wavelengths(vec![1, 2, 4, 8])
         .with_bitwidth(vec![4, 6, 8]);
-    println!("{}", serde_json::to_string_pretty(&example)?);
+    outln!("{}", serde_json::to_string_pretty(&example)?);
     Ok(())
 }

@@ -390,3 +390,33 @@ fn a_cache_in_a_retired_layout_is_refused_with_exit_one() {
     assert_eq!(std::fs::read_dir(fanned).unwrap().count(), 1);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Runs the CLI with stdout on a pipe whose read end is already closed: what
+/// `simphony-cli spec | head -1` leaves once `head` has exited.
+fn run_into_closed_pipe(args: &[&str]) -> Output {
+    let (reader, writer) = std::io::pipe().expect("pipe opens");
+    drop(reader);
+    std::process::Command::new(BIN)
+        .args(args)
+        .stdout(writer)
+        .output()
+        .expect("CLI spawns")
+}
+
+#[test]
+fn a_reader_that_closes_stdout_early_ends_the_output_quietly() {
+    let dir = scratch_dir("closed-stdout");
+    let spec = write_spec(&dir, &small_spec("closed-stdout"));
+    let cases: [&[&str]; 2] = [
+        &["spec"],
+        // No output file: the records go to stdout as CSV.
+        &["sweep", "--spec", spec.to_str().unwrap()],
+    ];
+    for args in cases {
+        let out = run_into_closed_pipe(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(exit_code(&out), 0, "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
