@@ -11,7 +11,7 @@ use simphony_memsim::{MemoryHierarchy, SramConfig, SramModel};
 use simphony_units::Area;
 
 use crate::accelerator::Accelerator;
-use crate::error::Result;
+use crate::error::{Result, SimError};
 
 /// Chip area broken down by device kind, plus routing whitespace and memory.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -90,12 +90,28 @@ pub(crate) fn default_memory_hierarchy(accel: &Accelerator) -> Result<MemoryHier
 ///
 /// Propagates device-lookup, scaling-rule, floorplanning and memory errors.
 pub fn area_report(accel: &Accelerator, layout_aware: bool) -> Result<AreaReport> {
+    let counts: Vec<Result<BTreeMap<String, usize>>> = accel
+        .sub_archs()
+        .iter()
+        .map(|arch| Ok(arch.instance_counts()?))
+        .collect();
+    area_report_with_counts(accel, layout_aware, &counts)
+}
+
+/// [`area_report`] over the instance counts of every sub-architecture, in
+/// order, evaluated by the caller. A count error is raised where
+/// [`area_report`] raises it: before anything else of its sub-architecture.
+pub(crate) fn area_report_with_counts(
+    accel: &Accelerator,
+    layout_aware: bool,
+    counts: &[Result<BTreeMap<String, usize>>],
+) -> Result<AreaReport> {
     let library = accel.library();
     let mut by_kind: BTreeMap<String, Area> = BTreeMap::new();
     let mut whitespace = Area::ZERO;
 
-    for arch in accel.sub_archs() {
-        let counts = arch.instance_counts()?;
+    for (arch, counts) in accel.sub_archs().iter().zip(counts) {
+        let counts = counts.as_ref().map_err(SimError::clone)?;
         // Whitespace ratio of one node, from the signal-flow floorplan of the
         // node-level circuit (devices at their topological level).
         let ratio = if layout_aware {

@@ -10,10 +10,10 @@ use serde::{DeError, Deserialize, Serialize, Value};
 
 use simphony_arch::PtcArchitecture;
 use simphony_dataflow::{LatencyBreakdown, MemoryTraffic};
-use simphony_devlib::{ConverterScaling, DeviceKind, DeviceLibrary, PowerModel};
+use simphony_devlib::{ConverterScaling, DeviceKind, DeviceLibrary, DeviceSpec, PowerModel};
 use simphony_memsim::{MemoryHierarchy, MemoryLevel};
 use simphony_onn::{LayerWorkload, ModelWorkload, WeightSamples};
-use simphony_units::{Energy, Power};
+use simphony_units::{Energy, Frequency, Power};
 
 use crate::error::{Result, SimError};
 use crate::link_budget::LinkBudgetReport;
@@ -393,35 +393,35 @@ fn same_bits(a: &PowerModel, b: &PowerModel) -> bool {
     }
 }
 
-/// Mean electrical power of the architecture's weight-encoding device for one
-/// layer, honouring the requested data awareness.
+/// Mean electrical power of the architecture's weight-encoding device, whose
+/// power model is `model`, for one layer, honouring the requested data
+/// awareness.
 ///
-/// The data-unaware arm is the library's worst-case power and reads nothing
+/// The data-unaware arm is the model's worst-case power and reads nothing
 /// of the workload, so a shape-only workload
 /// ([`ModelWorkload::shape_only`]) serves it. The data-aware arm is the
-/// layer's fold through the device's power model
-/// ([`fold_weight_power`]), run at most once per (layer, power model) by the
-/// layer's [`WeightPowerMemo`].
+/// layer's fold through the model ([`fold_weight_power`]), run at most once
+/// per (layer, power model) by the layer's [`WeightPowerMemo`].
 ///
 /// # Errors
 ///
 /// Returns [`SimError::UnsampledWeights`] for a data-aware request on a
 /// layer that carries no weight samples.
 fn weight_device_power(
-    spec: &simphony_devlib::DeviceSpec,
+    model: &PowerModel,
     layer: MemoizedLayer<'_>,
     awareness: DataAwareness,
 ) -> Result<Power> {
     let workload = layer.workload();
     let samples = match awareness {
-        DataAwareness::Unaware => return Ok(spec.power_model().worst_case_power()),
+        DataAwareness::Unaware => return Ok(model.worst_case_power()),
         DataAwareness::Aware => workload
             .samples()
             .ok_or_else(|| SimError::UnsampledWeights {
                 layer: workload.name().to_string(),
             })?,
     };
-    Ok(layer.folded(spec.power_model(), samples))
+    Ok(layer.folded(model, samples))
 }
 
 /// The mean data-aware power of a device with power model `model` over a
@@ -433,9 +433,10 @@ fn weight_device_power(
 /// to it at a fraction of the cost. A layer with no weight elements has no
 /// samples to average and gets the model's mean power.
 ///
-/// Kept out of line: inlined into [`layer_energy_with_counts`], the fold ran
-/// about three times slower (one layer's energy with a fold of 8,192 codes
-/// took 29 µs against 9 µs out of line, measured on an x86-64 host).
+/// Kept out of line: inlined into the layer loop
+/// ([`EnergyTable::layer_energy`]), the fold ran about three times slower
+/// (one layer's energy with a fold of 8,192 codes took 29 µs against 9 µs
+/// out of line, measured on an x86-64 host).
 #[inline(never)]
 fn fold_weight_power(model: &PowerModel, samples: &WeightSamples) -> Power {
     let codes = samples.codes();
@@ -458,81 +459,163 @@ fn fold_weight_power(model: &PowerModel, samples: &WeightSamples) -> Power {
     Power::from_milliwatts(total_mw / codes.len() as f64)
 }
 
-/// Computes the device energy of one mapped layer on one sub-architecture.
-///
-/// Device energy is accumulated over the analog-active cycles
-/// (`I × compute_cycles`): static (or value-aware) power times active time plus
-/// per-operation dynamic energy for every switching event. The laser is
-/// charged at the link-budget power. Data movement is added separately (see
-/// [`data_movement_energy`]).
-///
-/// `counts` are the architecture's instance counts
-/// ([`PtcArchitecture::instance_counts`]). The count rules are arithmetic over
-/// the architecture parameters only, so a multi-layer simulation evaluates
-/// them once per sub-architecture instead of once per layer (see
-/// `Simulator::simulate`). `layer` is the layer with its
-/// [`WeightPowerMemo`] slot: every instance of the weight device reads the
-/// layer's data-aware power from it, so the layer folds once per weight
-/// power model however many instances name the device.
-///
-/// # Errors
-///
-/// Propagates device-lookup and scaling-rule errors.
-pub fn layer_energy_with_counts(
-    arch: &PtcArchitecture,
-    library: &DeviceLibrary,
-    link: &LinkBudgetReport,
-    counts: &BTreeMap<String, usize>,
-    layer: MemoizedLayer<'_>,
-    latency: &LatencyBreakdown,
-    awareness: DataAwareness,
-) -> Result<LayerEnergyReport> {
-    let workload = layer.workload();
-    let clock = arch.clock();
-    let active_cycles = latency.iterations * latency.compute_cycles;
-    let active_time = clock.period() * active_cycles as f64;
-    let scaling = ConverterScaling::default();
+/// What an [`EnergyTable`] entry draws while the layer is active, besides
+/// its per-operation dynamic energy.
+#[derive(Debug)]
+enum PowerRole {
+    /// The weight-encoding device: its power model, read per layer through
+    /// the layer's weight power memo (see [`weight_device_power`]).
+    Weight(PowerModel),
+    /// A laser: its share of the link budget's total laser power.
+    Laser(Power),
+    /// A DAC or an ADC, rescaled to the layer's bits.
+    Converter(DeviceSpec),
+    /// Any other device: its static power.
+    Static(Power),
+}
 
-    let mut by_kind = EnergyBreakdown::new();
-    for inst in arch.netlist().instances() {
-        let spec = library.get(inst.device())?;
-        let count = counts.get(inst.name()).copied().unwrap_or(0) as f64;
-        if count == 0.0 {
-            continue;
-        }
-        let effective_spec;
-        let spec_ref = if spec.kind().is_converter() {
-            let bits = match spec.kind() {
-                DeviceKind::Adc => workload.output_bits(),
-                _ => workload.input_bits(),
+impl PowerRole {
+    /// The power drawn while `layer` is active on a sub-architecture clocked
+    /// at `clock`. A DAC runs at the layer's input bits and an ADC at its
+    /// output bits, scaled as [`ConverterScaling::rescale`] scales them.
+    fn power(
+        &self,
+        layer: MemoizedLayer<'_>,
+        awareness: DataAwareness,
+        clock: Frequency,
+    ) -> Result<Power> {
+        Ok(match self {
+            PowerRole::Weight(model) => weight_device_power(model, layer, awareness)?,
+            PowerRole::Laser(share) => *share,
+            PowerRole::Converter(spec) => {
+                let workload = layer.workload();
+                let bits = match spec.kind() {
+                    DeviceKind::Adc => workload.output_bits(),
+                    _ => workload.input_bits(),
+                };
+                ConverterScaling::default().scaled_power(spec, bits, clock)
+            }
+            PowerRole::Static(power) => *power,
+        })
+    }
+}
+
+/// One netlist instance of nonzero count, as the layer loop charges it.
+#[derive(Debug)]
+struct EnergyEntry {
+    kind: DeviceKind,
+    count: f64,
+    dynamic_energy_per_op: Energy,
+    role: PowerRole,
+}
+
+/// One sub-architecture's device energy model, compiled once from its
+/// netlist, device library, link budget and instance counts, none of which
+/// depends on the workload.
+///
+/// It holds one entry per netlist instance of nonzero count, in netlist
+/// order: the device kind, the count, the per-operation dynamic energy and
+/// what the device draws while active (the weight device's power model, a
+/// laser's share of the link budget, a converter's spec, or a static
+/// power). [`layer_energy`](Self::layer_energy) is then arithmetic over the
+/// entries, with no device lookup and no spec copied.
+/// The `Simulator` compiles one table per sub-architecture when it is
+/// created and shares it across every simulation of its clones.
+#[derive(Debug)]
+pub(crate) struct EnergyTable {
+    clock: Frequency,
+    entries: Vec<EnergyEntry>,
+}
+
+impl EnergyTable {
+    /// Compiles the energy model of `arch` with `library`'s devices, the
+    /// link budget `link` and the instance counts `counts`
+    /// ([`PtcArchitecture::instance_counts`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns the device-lookup error of the first instance whose device
+    /// `library` lacks.
+    pub(crate) fn new(
+        arch: &PtcArchitecture,
+        library: &DeviceLibrary,
+        link: &LinkBudgetReport,
+        counts: &BTreeMap<String, usize>,
+    ) -> Result<Self> {
+        let mut entries = Vec::new();
+        for inst in arch.netlist().instances() {
+            let spec = library.get(inst.device())?;
+            let count = counts.get(inst.name()).copied().unwrap_or(0) as f64;
+            if count == 0.0 {
+                continue;
+            }
+            let role = if inst.device() == arch.weight_device() {
+                PowerRole::Weight(spec.power_model().clone())
+            } else if spec.kind() == DeviceKind::Laser {
+                // Distribute the link-budget laser power over the laser instances.
+                PowerRole::Laser(link.total_laser_power / count)
+            } else if spec.kind().is_converter() {
+                PowerRole::Converter(spec.clone())
+            } else {
+                PowerRole::Static(spec.static_power())
             };
-            effective_spec = scaling.rescale(spec, bits, clock);
-            &effective_spec
-        } else {
-            spec
-        };
-        let power = if inst.device() == arch.weight_device() {
-            weight_device_power(spec_ref, layer, awareness)?
-        } else if spec_ref.kind() == DeviceKind::Laser {
-            // Distribute the link-budget laser power over the laser instances.
-            link.total_laser_power / count
-        } else {
-            spec_ref.static_power()
-        };
-        let static_energy = power * active_time * count;
-        let dynamic_energy = spec_ref.dynamic_energy_per_op() * (active_cycles as f64) * count;
-        by_kind.add(
-            EnergyKind::Device(spec_ref.kind()),
-            static_energy + dynamic_energy,
-        );
+            entries.push(EnergyEntry {
+                kind: spec.kind(),
+                count,
+                dynamic_energy_per_op: spec.dynamic_energy_per_op(),
+                role,
+            });
+        }
+        Ok(Self {
+            clock: arch.clock(),
+            entries,
+        })
     }
 
-    Ok(LayerEnergyReport {
-        layer: workload.name().to_string(),
-        by_kind,
-        total: Energy::ZERO,
+    /// The device energy of one mapped layer.
+    ///
+    /// Device energy is accumulated over the analog-active cycles
+    /// (`I × compute_cycles`): static (or value-aware) power times active
+    /// time plus per-operation dynamic energy for every switching event,
+    /// summed per device kind in netlist order. The laser is charged at the
+    /// link-budget power, a DAC at the layer's input bits and an ADC at its
+    /// output bits. `layer` is the layer with its [`WeightPowerMemo`] slot:
+    /// every instance of the weight device reads the layer's data-aware
+    /// power from it, so the layer folds once per weight power model however
+    /// many instances name the device. Data movement is added separately
+    /// (see [`data_movement_energy`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::UnsampledWeights`] for a data-aware request on a
+    /// layer without weight samples.
+    pub(crate) fn layer_energy(
+        &self,
+        layer: MemoizedLayer<'_>,
+        latency: &LatencyBreakdown,
+        awareness: DataAwareness,
+    ) -> Result<LayerEnergyReport> {
+        let workload = layer.workload();
+        let active_cycles = latency.iterations * latency.compute_cycles;
+        let active_time = self.clock.period() * active_cycles as f64;
+
+        let mut by_kind = EnergyBreakdown::new();
+        for entry in &self.entries {
+            let power = entry.role.power(layer, awareness, self.clock)?;
+            let static_energy = power * active_time * entry.count;
+            let dynamic_energy = entry.dynamic_energy_per_op * (active_cycles as f64) * entry.count;
+            by_kind.add(
+                EnergyKind::Device(entry.kind),
+                static_energy + dynamic_energy,
+            );
+        }
+        Ok(LayerEnergyReport {
+            layer: workload.name().to_string(),
+            by_kind,
+            total: Energy::ZERO,
+        }
+        .finalised())
     }
-    .finalised())
 }
 
 impl LayerEnergyReport {
@@ -612,16 +695,10 @@ mod tests {
         let counts = arch.instance_counts().unwrap();
         let memo = WeightPowerMemo::new(workload);
         let layer = memo.layers().next().expect("one layer");
-        layer_energy_with_counts(
-            arch,
-            accel.library(),
-            link,
-            &counts,
-            layer,
-            latency,
-            awareness,
-        )
-        .unwrap()
+        EnergyTable::new(arch, accel.library(), link, &counts)
+            .unwrap()
+            .layer_energy(layer, latency, awareness)
+            .unwrap()
     }
 
     #[test]
@@ -777,7 +854,9 @@ mod tests {
                 // first pass folds, the second must hit the right entry.
                 for pass in ["miss", "hit"] {
                     for spec in &specs {
-                        let power = weight_device_power(spec, layer, DataAwareness::Aware).unwrap();
+                        let power =
+                            weight_device_power(spec.power_model(), layer, DataAwareness::Aware)
+                                .unwrap();
                         let reference = per_sample_weight_power(spec, layer.workload());
                         assert_eq!(
                             power.milliwatts().to_bits(),
@@ -815,5 +894,61 @@ mod tests {
             );
         }
         assert_eq!(memo.folds(), 2);
+    }
+
+    #[test]
+    fn table_converter_power_is_bit_identical_to_a_rescaled_spec() {
+        let library = DeviceLibrary::standard();
+        let mut converters: Vec<DeviceSpec> = library
+            .iter()
+            .filter(|spec| spec.kind().is_converter())
+            .cloned()
+            .collect();
+        assert!(converters.iter().any(|spec| spec.kind() == DeviceKind::Dac));
+        assert!(converters.iter().any(|spec| spec.kind() == DeviceKind::Adc));
+        // Specs without a resolution or rate scale from the reference point.
+        for kind in [DeviceKind::Dac, DeviceKind::Adc] {
+            converters.push(
+                DeviceSpec::builder("unannotated", kind)
+                    .static_power(Power::from_milliwatts(17.3))
+                    .build()
+                    .unwrap(),
+            );
+        }
+        let scaling = ConverterScaling::default();
+        for input in 1..=16u8 {
+            // Inputs and outputs at different bits: a DAC must read the
+            // former and an ADC the latter.
+            let output = 17 - input;
+            let workload = ModelWorkload::shape_only(
+                &models::single_gemm(4, 4, 4),
+                &QuantConfig::new(
+                    BitWidth::new(8),
+                    BitWidth::new(input),
+                    BitWidth::new(output),
+                ),
+            )
+            .unwrap();
+            let memo = WeightPowerMemo::new(&workload);
+            let layer = memo.layers().next().expect("one layer");
+            for spec in &converters {
+                let bits = BitWidth::new(match spec.kind() {
+                    DeviceKind::Dac => input,
+                    _ => output,
+                });
+                let role = PowerRole::Converter(spec.clone());
+                for ghz in [1.0, 5.0, 10.0] {
+                    let clock = Frequency::from_gigahertz(ghz);
+                    let power = role.power(layer, DataAwareness::Aware, clock).unwrap();
+                    let rescaled = scaling.rescale(spec, bits, clock).static_power();
+                    assert_eq!(
+                        power.watts().to_bits(),
+                        rescaled.watts().to_bits(),
+                        "{} at {bits:?}, {ghz} GHz",
+                        spec.name()
+                    );
+                }
+            }
+        }
     }
 }

@@ -56,8 +56,8 @@ mod simulator;
 pub use accelerator::{Accelerator, AcceleratorBuilder, LinkConfig, MemoryConfig};
 pub use area::{area_report, AreaReport};
 pub use energy::{
-    data_movement_energy, layer_energy_with_counts, DataAwareness, EnergyBreakdown, EnergyKind,
-    LayerEnergyReport, MemoizedLayer, WeightPowerMemo,
+    data_movement_energy, DataAwareness, EnergyBreakdown, EnergyKind, LayerEnergyReport,
+    MemoizedLayer, WeightPowerMemo,
 };
 pub use error::{Result, SimError};
 pub use link_budget::{laser_power_per_path, link_budget, LinkBudgetReport};

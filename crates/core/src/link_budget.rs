@@ -1,6 +1,7 @@
 //! Optical link budget analysis (paper Eq. 1).
 
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::fmt;
 
 use simphony_arch::PtcArchitecture;
@@ -8,7 +9,7 @@ use simphony_devlib::DeviceLibrary;
 use simphony_units::{Decibels, Power};
 
 use crate::accelerator::LinkConfig;
-use crate::error::Result;
+use crate::error::{Result, SimError};
 
 /// Result of the link-budget analysis of one sub-architecture.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -86,6 +87,19 @@ pub fn link_budget(
     library: &DeviceLibrary,
     link: &LinkConfig,
 ) -> Result<LinkBudgetReport> {
+    let counts = arch.instance_counts().map_err(SimError::from);
+    link_budget_with_counts(arch, library, link, counts.as_ref())
+}
+
+/// [`link_budget`] over the architecture's instance counts, evaluated by the
+/// caller. A count error is raised where [`link_budget`] raises it: after
+/// the critical-path analysis.
+pub(crate) fn link_budget_with_counts(
+    arch: &PtcArchitecture,
+    library: &DeviceLibrary,
+    link: &LinkConfig,
+    counts: std::result::Result<&BTreeMap<String, usize>, &SimError>,
+) -> Result<LinkBudgetReport> {
     let (path_ids, il) = arch.critical_insertion_loss(library)?;
     let critical_path: Vec<String> = path_ids
         .iter()
@@ -98,7 +112,7 @@ pub fn link_budget(
         link.wall_plug_efficiency,
         link.extinction_ratio_db,
     );
-    let counts = arch.instance_counts()?;
+    let counts = counts.map_err(SimError::clone)?;
     let input_paths = arch
         .netlist()
         .instances()

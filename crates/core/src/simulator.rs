@@ -2,7 +2,8 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use serde::{Deserialize, Serialize};
 
@@ -15,13 +16,13 @@ use simphony_onn::{LayerKind, LayerWorkload, ModelWorkload};
 use simphony_units::{Bandwidth, Energy, Power, Time};
 
 use crate::accelerator::Accelerator;
-use crate::area::{area_report, AreaReport};
+use crate::area::{area_report_with_counts, AreaReport};
 use crate::energy::{
-    data_movement_energy, layer_energy_with_counts, DataAwareness, EnergyBreakdown,
-    LayerEnergyReport, WeightPowerMemo,
+    data_movement_energy, DataAwareness, EnergyBreakdown, EnergyTable, LayerEnergyReport,
+    WeightPowerMemo,
 };
 use crate::error::{Result, SimError};
-use crate::link_budget::{link_budget, LinkBudgetReport};
+use crate::link_budget::{link_budget_with_counts, LinkBudgetReport};
 
 /// Upper bound on the GLB bandwidth demand used to size the multi-block buffer;
 /// demands beyond this are clamped (the cores would stall instead).
@@ -221,12 +222,90 @@ struct PlacedLayer {
     mapping: GemmMapping,
 }
 
-/// The SimPhony simulator: an [`Accelerator`] plus a [`SimulationConfig`].
+/// One sub-architecture's simulation invariants: its link budget and its
+/// compiled energy table.
+#[derive(Debug)]
+struct CompiledSubArch {
+    link: LinkBudgetReport,
+    energy: EnergyTable,
+}
+
+/// Everything a simulation reads that depends only on the accelerator,
+/// computed once per [`Simulator`] and shared by its clones: per
+/// sub-architecture the instance counts (evaluated once), the link budget
+/// and the [`EnergyTable`], plus one area report per layout flag, computed
+/// on first use.
 ///
-/// The accelerator is held behind an [`Arc`], so cloning a simulator — or
-/// building many simulators over the same hardware via
-/// [`Simulator::shared`] — shares one accelerator instance instead of deep-
-/// copying sub-architectures and the device library per clone.
+/// Errors are kept, not raised, and a simulation raises them at the step
+/// that computes them per simulation: the link budgets after placement and
+/// memory sizing, the area after the layer loop.
+#[derive(Debug)]
+struct CompiledAccelerator {
+    /// Per sub-architecture, in order, its netlist instance counts.
+    counts: Vec<Result<BTreeMap<String, usize>>>,
+    /// Per sub-architecture, in order, its link budget and energy table; the
+    /// first link-budget error otherwise.
+    subs: Result<Vec<CompiledSubArch>>,
+    /// The area report without, then with, layout awareness.
+    area: [OnceLock<Result<AreaReport>>; 2],
+}
+
+/// Accelerators compiled by [`Simulator::new`] and [`Simulator::shared`] in
+/// this process (see [`Simulator::compiles`]).
+static COMPILES: AtomicUsize = AtomicUsize::new(0);
+
+impl CompiledAccelerator {
+    fn new(accelerator: &Accelerator) -> Self {
+        COMPILES.fetch_add(1, Ordering::Relaxed);
+        let library = accelerator.library();
+        let counts: Vec<Result<BTreeMap<String, usize>>> = accelerator
+            .sub_archs()
+            .iter()
+            .map(|arch| Ok(arch.instance_counts()?))
+            .collect();
+        let subs = accelerator
+            .sub_archs()
+            .iter()
+            .zip(&counts)
+            .map(|(arch, counts)| {
+                let link =
+                    link_budget_with_counts(arch, library, accelerator.link(), counts.as_ref())?;
+                // A link budget exists only over evaluated counts and a
+                // library holding every device, so neither raises here.
+                let counts = counts.as_ref().map_err(SimError::clone)?;
+                let energy = EnergyTable::new(arch, library, &link, counts)?;
+                Ok(CompiledSubArch { link, energy })
+            })
+            .collect();
+        Self {
+            counts,
+            subs,
+            area: [OnceLock::new(), OnceLock::new()],
+        }
+    }
+
+    /// The accelerator's area report, computed on the first request for
+    /// this layout flag.
+    fn area(&self, accelerator: &Accelerator, layout_aware: bool) -> Result<AreaReport> {
+        self.area[usize::from(layout_aware)]
+            .get_or_init(|| area_report_with_counts(accelerator, layout_aware, &self.counts))
+            .clone()
+    }
+}
+
+/// The SimPhony simulator: an [`Accelerator`], compiled for simulation, plus
+/// a [`SimulationConfig`].
+///
+/// Creating a simulator compiles its accelerator once: per
+/// sub-architecture the netlist instance counts, the link budget and an
+/// energy table with one entry per instance, plus (on first use) the area
+/// report of each layout flag. None of these depends on the workload or the
+/// configuration, so every simulation of the simulator and of its clones
+/// reads them instead of recomputing them, and the per-layer energy is
+/// arithmetic over the table. The accelerator and its compiled state are
+/// held behind [`Arc`]s: cloning a simulator, or re-configuring a clone with
+/// [`with_config`](Self::with_config), shares both instead of copying or
+/// recompiling anything.
 ///
 /// # Examples
 ///
@@ -252,20 +331,27 @@ struct PlacedLayer {
 #[derive(Debug, Clone)]
 pub struct Simulator {
     accelerator: Arc<Accelerator>,
+    compiled: Arc<CompiledAccelerator>,
     config: SimulationConfig,
 }
 
 impl Simulator {
-    /// Creates a simulator with the default configuration.
+    /// Creates a simulator with the default configuration, compiling the
+    /// accelerator.
     pub fn new(accelerator: Accelerator) -> Self {
         Self::shared(Arc::new(accelerator))
     }
 
-    /// Creates a simulator over an accelerator shared with other simulators
-    /// (e.g. the per-point simulators of a design-space sweep).
+    /// Creates a simulator over an accelerator shared with other simulators,
+    /// compiling it. Simulators that should share the compiled state too
+    /// (e.g. the points of a design-space sweep over one accelerator) clone
+    /// one simulator and [re-configure](Self::with_config) the clones
+    /// instead.
     pub fn shared(accelerator: Arc<Accelerator>) -> Self {
+        let compiled = Arc::new(CompiledAccelerator::new(&accelerator));
         Self {
             accelerator,
+            compiled,
             config: SimulationConfig::default(),
         }
     }
@@ -284,6 +370,13 @@ impl Simulator {
     /// The active configuration.
     pub fn config(&self) -> SimulationConfig {
         self.config
+    }
+
+    /// How many accelerators [`new`](Self::new) and [`shared`](Self::shared)
+    /// have compiled in this process: a deterministic work counter for
+    /// tests that hold a caller to compiling each accelerator once.
+    pub fn compiles() -> usize {
+        COMPILES.load(Ordering::Relaxed)
     }
 
     /// Picks the sub-architecture index a layer runs on, falling back to any
@@ -403,25 +496,12 @@ impl Simulator {
         plan: &MappingPlan,
     ) -> Result<SimulationReport> {
         let workload = memo.workload();
-        let library = self.accelerator.library();
         let subs = self.accelerator.sub_archs();
 
         // Single placement/mapping pass, shared by GLB sizing and the layer loop.
         let placed = self.place_and_map(workload, plan)?;
         let hierarchy = self.build_memory(workload, &placed)?;
-
-        // Per-sub-architecture artifacts, computed once: the link budget (the
-        // layer loop indexes it by sub-architecture instead of scanning by
-        // name) and the netlist instance counts (formerly re-evaluated for
-        // every layer).
-        let link_budgets: Vec<LinkBudgetReport> = subs
-            .iter()
-            .map(|arch| link_budget(arch, library, self.accelerator.link()))
-            .collect::<Result<_>>()?;
-        let instance_counts: Vec<BTreeMap<String, usize>> = subs
-            .iter()
-            .map(|arch| Ok(arch.instance_counts()?))
-            .collect::<Result<_>>()?;
+        let compiled_subs = self.compiled.subs.as_ref().map_err(SimError::clone)?;
 
         let mut layers = Vec::with_capacity(workload.layers().len());
         let mut energy_by_kind = EnergyBreakdown::new();
@@ -432,21 +512,13 @@ impl Simulator {
         for (memoized, placement) in memo.layers().zip(&placed) {
             let layer = memoized.workload();
             let arch = &subs[placement.sub_arch];
-            let link = &link_budgets[placement.sub_arch];
-            let counts = &instance_counts[placement.sub_arch];
             let latency =
                 layer_latency(layer, arch, &placement.mapping, hierarchy.glb_bandwidth())?;
             let traffic = memory_traffic(layer, &placement.mapping);
-            let energy = layer_energy_with_counts(
-                arch,
-                library,
-                link,
-                counts,
-                memoized,
-                &latency,
-                self.config.data_awareness,
-            )?
-            .with_data_movement(data_movement_energy(&hierarchy, &traffic));
+            let energy = compiled_subs[placement.sub_arch]
+                .energy
+                .layer_energy(memoized, &latency, self.config.data_awareness)?
+                .with_data_movement(data_movement_energy(&hierarchy, &traffic));
 
             energy_by_kind.merge(&energy.by_kind);
             total_energy += energy.total;
@@ -477,8 +549,10 @@ impl Simulator {
             total_cycles,
             total_time,
             average_power,
-            area: area_report(&self.accelerator, self.config.layout_aware)?,
-            link_budgets,
+            area: self
+                .compiled
+                .area(&self.accelerator, self.config.layout_aware)?,
+            link_budgets: compiled_subs.iter().map(|sub| sub.link.clone()).collect(),
             glb_blocks: hierarchy.glb_blocks(),
         })
     }
@@ -487,6 +561,7 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::link_budget::link_budget;
     use simphony_arch::generators;
     use simphony_netlist::ArchParams;
     use simphony_onn::{models, PruningConfig, QuantConfig};
@@ -766,6 +841,108 @@ mod tests {
             let fresh = WeightPowerMemo::new(&vgg8);
             simulator.simulate_memoized(&fresh, &plan).unwrap();
             assert_eq!(fresh.folds(), layers, "{}", arch.name());
+        }
+    }
+
+    #[test]
+    fn a_shared_compiled_simulator_writes_the_bytes_of_a_fresh_one() {
+        let vgg8 = ModelWorkload::extract(
+            &models::vgg8_cifar10(),
+            &QuantConfig::default(),
+            &PruningConfig::new(0.5).unwrap(),
+            42,
+        )
+        .unwrap();
+        let memo = WeightPowerMemo::new(&vgg8);
+        let plan = MappingPlan::default();
+        let json = |report: &SimulationReport| serde_json::to_string(report).unwrap();
+        let families = [
+            generators::tempo,
+            generators::mzi_mesh,
+            generators::mrr_bank,
+            generators::butterfly,
+            generators::pcm_crossbar,
+            generators::scatter,
+            generators::scatter_measured,
+        ];
+        for generate in families {
+            let arch = generate(ArchParams::new(2, 2, 4, 4).with_wavelengths(2), 5.0).unwrap();
+            let accel = Accelerator::builder("family")
+                .sub_arch(arch)
+                .build()
+                .unwrap();
+            // One compile serves every configuration below, its area reports
+            // included, in whatever order the layout flags arrive.
+            let compiled = Simulator::new(accel.clone());
+            for layout_aware in [false, true] {
+                for data_awareness in [DataAwareness::Aware, DataAwareness::Unaware] {
+                    for dataflow in [
+                        DataflowStyle::OutputStationary,
+                        DataflowStyle::WeightStationary,
+                        DataflowStyle::InputStationary,
+                    ] {
+                        let config = SimulationConfig {
+                            data_awareness,
+                            dataflow,
+                            layout_aware,
+                        };
+                        let shared = compiled
+                            .clone()
+                            .with_config(config)
+                            .simulate_memoized(&memo, &plan);
+                        let fresh = Simulator::new(accel.clone())
+                            .with_config(config)
+                            .simulate(&vgg8, &plan);
+                        match (shared, fresh) {
+                            (Ok(shared), Ok(fresh)) => assert_eq!(
+                                json(&shared),
+                                json(&fresh),
+                                "{} under {config:?}",
+                                accel.sub_archs()[0].name()
+                            ),
+                            (shared, fresh) => assert_eq!(
+                                shared.map(|report| json(&report)),
+                                fresh.map(|report| json(&report)),
+                                "{} under {config:?}",
+                                accel.sub_archs()[0].name()
+                            ),
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn compile_errors_surface_where_a_simulation_meets_them() {
+        // A deserialized accelerator skips the builder's device check, so
+        // its compile keeps the lookup errors for the steps that raise them.
+        let accel = tempo_accel(ArchParams::new(2, 2, 4, 4));
+        let mut library = accel.library().clone();
+        library.remove("mzm_eo");
+        let json = serde_json::to_string(&accel).unwrap().replace(
+            &serde_json::to_string(accel.library()).unwrap(),
+            &serde_json::to_string(&library).unwrap(),
+        );
+        let simulator = Simulator::new(serde_json::from_str(&json).unwrap());
+        let gemm = workload(&models::single_gemm(64, 64, 64));
+        // Placement runs before the link budget: a bad plan still reports
+        // itself first.
+        assert!(matches!(
+            simulator.simulate(&gemm, &MappingPlan::all_to(3)),
+            Err(SimError::InvalidSubArchIndex { .. })
+        ));
+        let expected = link_budget(
+            &simulator.accelerator().sub_archs()[0],
+            simulator.accelerator().library(),
+            simulator.accelerator().link(),
+        )
+        .unwrap_err();
+        for _ in 0..2 {
+            assert_eq!(
+                simulator.simulate(&gemm, &MappingPlan::default()),
+                Err(expected.clone())
+            );
         }
     }
 }

@@ -108,8 +108,9 @@ impl ConverterScaling {
         self.reference_rate
     }
 
-    /// Returns a copy of `spec` with its static power, dynamic energy and
-    /// converter annotations rescaled to the target resolution and rate.
+    /// Returns a copy of `spec` with its static power and converter
+    /// annotations rescaled to the target resolution and rate; the
+    /// per-operation dynamic energy is kept as it is.
     ///
     /// Non-converter specs are returned unchanged (their power does not follow
     /// converter scaling laws).
@@ -117,16 +118,26 @@ impl ConverterScaling {
         if !spec.kind().is_converter() {
             return spec.clone();
         }
+        spec.with_static_power(self.scaled_power(spec, bits, rate))
+            .with_converter_settings(bits, rate)
+    }
+
+    /// The static power of [`rescale`](Self::rescale)'s copy of `spec`,
+    /// without making the copy: a converter's power scaled from its own
+    /// resolution and rate (or, where the spec names none, this helper's
+    /// reference point), and any other device's static power unchanged.
+    pub fn scaled_power(&self, spec: &DeviceSpec, bits: BitWidth, rate: Frequency) -> Power {
         let ref_bits = spec.resolution().unwrap_or(self.reference_bits);
         let ref_rate = spec.sampling_rate().unwrap_or(self.reference_rate);
-        let scaled_power = match spec.kind() {
+        match spec.kind() {
             crate::DeviceKind::Dac => {
                 scale_dac_power(spec.static_power(), ref_bits, ref_rate, bits, rate)
             }
-            _ => scale_adc_power(spec.static_power(), ref_bits, ref_rate, bits, rate),
-        };
-        spec.with_static_power(scaled_power)
-            .with_converter_settings(bits, rate)
+            crate::DeviceKind::Adc => {
+                scale_adc_power(spec.static_power(), ref_bits, ref_rate, bits, rate)
+            }
+            _ => spec.static_power(),
+        }
     }
 }
 

@@ -13,8 +13,11 @@
 //!   (reusing `Arc`s still live from the previous shard), simulates the
 //!   misses on a rayon-style thread pool with one weight power memo per
 //!   workload (each layer's data-aware weight power is folded once per
-//!   weight power model in the shard), and renders each fresh record's
-//!   cache entry to JSON *on the worker threads*;
+//!   weight power model in the shard) and one compiled simulator per
+//!   accelerator (its instance counts, link budgets, energy tables and area
+//!   reports are computed once in the shard, and every point runs on a
+//!   re-configured clone), and renders each fresh record's cache entry to
+//!   JSON *on the worker threads*;
 //! * the **I/O stage** persists the completed shard with the durability
 //!   contract intact — cache writes and flush, then sink emission (in
 //!   deterministic expansion order) and flush, then the checkpoint append.
@@ -54,7 +57,7 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, OnceLock};
 
 use rayon::prelude::*;
 
@@ -294,7 +297,10 @@ pub fn simulate_point(point: &SweepPoint) -> SimResult<SimulationReport> {
 ///
 /// Produces bit-identical reports to [`simulate_point`]; public so callers
 /// probing many configurations against one accelerator (the serving
-/// simulator's service tables) pay artifact construction once.
+/// simulator's service tables) pay artifact construction once. Each call
+/// compiles the accelerator for its one simulation and folds the weight
+/// power through a fresh memo; a sweep shard compiles and folds once for
+/// all of its points instead.
 ///
 /// # Errors
 ///
@@ -304,19 +310,9 @@ pub fn simulate_point_with(
     accel: &Arc<Accelerator>,
     workload: &ModelWorkload,
 ) -> SimResult<SimulationReport> {
-    simulate_point_memoized(point, accel, &WeightPowerMemo::new(workload))
-}
-
-/// Simulates a point against pre-built artifacts, folding the data-aware
-/// weight power through `memo` (the workload is the memo's).
-fn simulate_point_memoized(
-    point: &SweepPoint,
-    accel: &Arc<Accelerator>,
-    memo: &WeightPowerMemo<'_>,
-) -> SimResult<SimulationReport> {
     Simulator::shared(Arc::clone(accel))
         .with_config(point.sim_config())
-        .simulate_memoized(memo, &MappingPlan::default())
+        .simulate(workload, &MappingPlan::default())
 }
 
 /// Default entry cap of a session-local [`ArtifactStore`].
@@ -571,11 +567,32 @@ fn workload_bytes(workload: &ModelWorkload) -> u64 {
     layers + 256
 }
 
-/// Estimated resident size of a generated accelerator. Accelerators are
-/// configuration trees without bulk arrays, so their serialized length is a
-/// good (and cheap) proxy.
+/// Estimated resident size of a generated accelerator, from its structure:
+/// every device spec of its library (keyed by name) and every instance and
+/// net of its netlists, each at its inline size plus its names. The device
+/// library, the same for every generated accelerator, dominates; the
+/// estimate allocates nothing.
 fn accelerator_bytes(accel: &Accelerator) -> u64 {
-    serde_json::to_string(accel).map_or(4096, |json| json.len() as u64)
+    use std::mem::{size_of, size_of_val};
+    let devices: usize = accel
+        .library()
+        .iter()
+        .map(|spec| size_of_val(spec) + 2 * spec.name().len() + spec.notes().len())
+        .sum();
+    let archs: usize = accel
+        .sub_archs()
+        .iter()
+        .map(|arch| {
+            let netlist = arch.netlist();
+            let instances: usize = netlist
+                .instances()
+                .iter()
+                .map(|inst| size_of_val(inst) + inst.name().len() + inst.device().len())
+                .sum();
+            size_of_val(arch) + arch.name().len() + instances + size_of_val(netlist.nets())
+        })
+        .sum();
+    (size_of::<Accelerator>() + accel.name().len() + devices + archs) as u64
 }
 
 /// The distinct artifacts of one shard of sweep points, built once and shared
@@ -671,12 +688,15 @@ impl ShardArtifacts {
         shard
     }
 
-    /// The shard's artifacts with one [`WeightPowerMemo`] per workload, for
-    /// every point of the shard and every thread simulating one: the shard
-    /// folds each layer's data-aware weight power once per weight power
-    /// model, not once per point and weight-device instance. The memos
-    /// borrow the shard's workloads and are dropped with the shard, so
-    /// nothing outlives it.
+    /// The shard's artifacts ready to simulate, for every point of the
+    /// shard and every thread simulating one: one [`WeightPowerMemo`] per
+    /// workload and one compiled [`Simulator`] per accelerator, compiled by
+    /// the first point that needs it. The shard folds each layer's
+    /// data-aware weight power once per weight power model, and compiles
+    /// each accelerator (its instance counts, link budgets, energy tables
+    /// and area reports) once, not once per point. The memos borrow the
+    /// shard's workloads, and both are dropped with the shard, so nothing
+    /// outlives it.
     fn memoized(&self) -> MemoizedShard<'_> {
         MemoizedShard {
             workloads: self
@@ -684,7 +704,11 @@ impl ShardArtifacts {
                 .iter()
                 .map(|(key, workload)| (key, workload.as_deref().map(WeightPowerMemo::new)))
                 .collect(),
-            accelerators: &self.accelerators,
+            simulators: self
+                .accelerators
+                .iter()
+                .map(|(key, accel)| (key, (accel, OnceLock::new())))
+                .collect(),
         }
     }
 }
@@ -692,18 +716,23 @@ impl ShardArtifacts {
 /// A shard's artifacts, ready to simulate: see [`ShardArtifacts::memoized`].
 pub(crate) struct MemoizedShard<'a> {
     workloads: HashMap<&'a WorkloadKey, std::result::Result<WeightPowerMemo<'a>, &'a SimError>>,
-    accelerators: &'a HashMap<ArchKey, std::result::Result<Arc<Accelerator>, SimError>>,
+    simulators: HashMap<&'a ArchKey, (&'a SimResult<Arc<Accelerator>>, OnceLock<Simulator>)>,
 }
 
 impl MemoizedShard<'_> {
+    /// Simulates `point` on a clone of its accelerator's compiled simulator,
+    /// configured for the point, through its workload's memo.
     fn simulate(&self, point: &SweepPoint) -> SimResult<SimulationReport> {
         let memo = self.workloads[&point.workload_key()]
             .as_ref()
             .map_err(|&error| error.clone())?;
-        let accel = self.accelerators[&point.arch_key()]
-            .as_ref()
-            .map_err(SimError::clone)?;
-        simulate_point_memoized(point, accel, memo)
+        let (accel, compiled) = &self.simulators[&point.arch_key()];
+        let accel = accel.as_ref().map_err(SimError::clone)?;
+        compiled
+            .get_or_init(|| Simulator::shared(Arc::clone(accel)))
+            .clone()
+            .with_config(point.sim_config())
+            .simulate_memoized(memo, &MappingPlan::default())
     }
 
     /// Folds run so far by the shard's memos.
@@ -803,9 +832,12 @@ fn recorded_failures(failures: &[CheckpointFailure]) -> impl Iterator<Item = Poi
 /// serialization — everything up to, but not including, durability I/O.
 /// `artifacts` is the resident store live artifacts flow through across shard
 /// (and sweep) boundaries. The shard's points and threads share one weight
-/// power memo per workload ([`ShardArtifacts::memoized`]), so the shard folds
-/// each layer's data-aware weight power once per weight power model; the
-/// memos are dropped with the shard.
+/// power memo per workload and one compiled simulator per accelerator
+/// ([`ShardArtifacts::memoized`]), so the shard folds each layer's
+/// data-aware weight power once per weight power model and compiles each
+/// accelerator once; the memos and the compiled simulators are dropped with
+/// the shard. The local executor, resume, the daemon's bulk lane and the
+/// worker fleet all compute their shards here.
 pub(crate) fn compute_shard(
     spec: &SweepSpec,
     cache: Option<&dyn CacheBackend>,
@@ -1989,5 +2021,29 @@ mod tests {
         records.extend(sink.into_records());
         assert_eq!(records, reference.records);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn accelerator_size_estimates_track_the_serialized_length() {
+        // The store once charged an accelerator its JSON length; the
+        // structural estimate (about 0.6 of it on an x86-64 host) must stay
+        // within a fixed factor of that for every family and shape.
+        for arch in ArchFamily::ALL {
+            for dims in [4, 8] {
+                for wavelengths in [1, 8] {
+                    let spec = SweepSpec::new("sizes")
+                        .with_arch(vec![arch])
+                        .with_core_dims(vec![dims])
+                        .with_wavelengths(vec![wavelengths]);
+                    let accel = build_accelerator(&spec.point_at(0)).unwrap();
+                    let json = serde_json::to_string(&accel).unwrap().len() as f64;
+                    let ratio = accelerator_bytes(&accel) as f64 / json;
+                    assert!(
+                        (0.4..=1.0).contains(&ratio),
+                        "{arch} at {dims}x{dims}, {wavelengths} wavelengths: {ratio}"
+                    );
+                }
+            }
+        }
     }
 }
