@@ -30,7 +30,9 @@
 //! a million-point sweep cannot starve interactive `run` calls. A request
 //! line longer than [`MAX_REQUEST_LINE_BYTES`] gets an exit-2 `error` frame
 //! and its connection is closed, so one client cannot make the daemon buffer
-//! an unbounded line.
+//! an unbounded line; the close drains (without buffering) a bounded amount
+//! of what the client is still sending, so the client reads the frame
+//! instead of a connection reset.
 //!
 //! `simphony-cli serve` hosts the daemon; `simphony-cli serve --check`
 //! runs [`check`] against one.

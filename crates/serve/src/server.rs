@@ -2,11 +2,11 @@
 //! control, and the request handlers that reuse the exploration engine.
 
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use serde_json::Value;
 use simphony_explore::{
@@ -34,11 +34,19 @@ pub const DEFAULT_SERVE_CHUNK: usize = 64;
 /// of compact JSON, so 64 MiB carries the records of a full
 /// [`DEFAULT_MAX_POINTS`]-point sweep with room to spare. A longer line gets
 /// an `error` frame with exit code 2 and the connection is closed, so no
-/// connection holds more than this much of a request in memory.
+/// connection holds more than this much of a request in memory. The close
+/// is graceful: the daemon shuts its write half after the frame, then reads
+/// and discards up to this many more bytes, for at most a few seconds,
+/// before it drops the socket, so a client still sending reads the frame
+/// instead of a reset.
 pub const MAX_REQUEST_LINE_BYTES: usize = 64 * 1024 * 1024;
 
 /// How often the accept loop and idle readers check the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
+
+/// How long a connection whose request line was refused may keep sending
+/// before it is closed regardless (see [`MAX_REQUEST_LINE_BYTES`]).
+const REFUSED_DRAIN_TIME: Duration = Duration::from_secs(5);
 
 /// Daemon configuration; [`ServeConfig::default`] gives the values the CLI
 /// uses when no flags are passed.
@@ -262,7 +270,8 @@ fn handle_connection(stream: TcpStream, state: &ServerState) -> io::Result<()> {
                 let message = format!(
                     "request line longer than {MAX_REQUEST_LINE_BYTES} bytes; closing the connection"
                 );
-                return send_frame(&mut writer, &protocol::error_frame(EXIT_USAGE, &message));
+                send_frame(&mut writer, &protocol::error_frame(EXIT_USAGE, &message))?;
+                return close_refused(reader, &writer, state);
             }
             Incoming::Closed => return Ok(()),
         };
@@ -274,6 +283,47 @@ fn handle_connection(stream: TcpStream, state: &ServerState) -> io::Result<()> {
             Flow::Close => return Ok(()),
         }
     }
+}
+
+/// Closes a connection whose request line was refused without resetting it
+/// under a client that is still sending: shuts the write half, so the
+/// client reads the error frame and then end of stream, and reads and
+/// discards what the client still sends until it stops, until
+/// [`MAX_REQUEST_LINE_BYTES`] more bytes arrived, or until
+/// [`REFUSED_DRAIN_TIME`] has passed, whichever comes first. Closing a
+/// socket with unread bytes queued would reset it, and a client still
+/// writing would fail its send before reading the frame. The discarded
+/// bytes pass through the reader's buffer and are never accumulated.
+fn close_refused(
+    mut reader: BufReader<TcpStream>,
+    writer: &BufWriter<TcpStream>,
+    state: &ServerState,
+) -> io::Result<()> {
+    writer.get_ref().shutdown(Shutdown::Write)?;
+    let deadline = Instant::now() + REFUSED_DRAIN_TIME;
+    let mut left = MAX_REQUEST_LINE_BYTES;
+    while left > 0 && Instant::now() < deadline && !state.shutdown.load(Ordering::SeqCst) {
+        let read = match reader.fill_buf() {
+            Ok(available) => available.len().min(left),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock
+                        | io::ErrorKind::TimedOut
+                        | io::ErrorKind::Interrupted
+                ) =>
+            {
+                continue
+            }
+            Err(e) => return Err(e),
+        };
+        if read == 0 {
+            break;
+        }
+        reader.consume(read);
+        left -= read;
+    }
+    Ok(())
 }
 
 /// One request line as [`read_request_line`] found it.

@@ -546,6 +546,56 @@ fn an_over_long_request_line_is_refused_and_its_connection_closed() {
 }
 
 #[test]
+fn a_client_still_writing_past_the_cap_reads_the_refusal_then_end_of_stream() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let server = Server::start(ephemeral_config(), None).expect("server starts");
+    let addr = server.local_addr().to_string();
+    let stream = std::net::TcpStream::connect(&addr).expect("connects");
+    stream
+        .set_read_timeout(Some(TIMEOUT))
+        .expect("timeout sets");
+    let mut reader = BufReader::new(stream.try_clone().expect("stream clones"));
+    let mut hello = String::new();
+    reader.read_line(&mut hello).expect("hello arrives");
+
+    // 16 MiB past the cap, from a writer that does not stop at the refusal:
+    // every send must succeed while this thread reads the answer.
+    let mut writer = stream;
+    let sender = std::thread::spawn(move || -> std::io::Result<()> {
+        let block = vec![b'x'; 1 << 20];
+        let mut left = MAX_REQUEST_LINE_BYTES + (16 << 20);
+        while left > 0 {
+            let n = left.min(block.len());
+            writer.write_all(&block[..n])?;
+            left -= n;
+        }
+        writer.flush()
+    });
+    let mut frame = String::new();
+    reader.read_line(&mut frame).expect("error frame arrives");
+    assert!(frame.starts_with("{\"frame\":\"error\""), "{frame}");
+    assert_eq!(frame_field_u64(&frame, &["exit_code"]), 2);
+    let mut rest = String::new();
+    assert_eq!(
+        reader
+            .read_line(&mut rest)
+            .expect("end of stream, not a reset"),
+        0,
+        "nothing follows the frame: {rest:.80}"
+    );
+    sender
+        .join()
+        .expect("sender thread")
+        .expect("no send fails while the daemon drains the line");
+
+    check(&addr, Duration::from_secs(5)).expect("health check succeeds");
+    drop(reader);
+    server.shutdown();
+    server.join();
+}
+
+#[test]
 fn deeply_nested_requests_of_every_kind_leave_the_connection_serving() {
     let dir = scratch_dir("deep");
     let spec = small_spec();
