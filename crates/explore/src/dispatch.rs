@@ -14,9 +14,11 @@
 //! * [`merge_shard_source`] — the merge loop: checkpoint replay of
 //!   already-recorded shards, then one `fetch(shard)` per remaining shard,
 //!   sink emission and flush, checkpoint append (cumulative `emitted`) and
-//!   progress reporting, through the same shard bookkeeping the local
-//!   executor uses. Output is byte-identical to a single-process run at any
-//!   worker count, because every path feeds it the same deterministic bytes.
+//!   progress reporting, through the same shard loop the local executor
+//!   runs: the calling thread fetches, and a writer thread persists each
+//!   merged part but the final one while the next is fetched. Output is
+//!   byte-identical to a single-process run at any worker count, because
+//!   every path feeds it the same deterministic bytes.
 
 use std::ops::Range;
 
@@ -26,8 +28,8 @@ use crate::error::{ExploreError, Result};
 use crate::record::SweepRecord;
 use crate::retry::RetryPolicy;
 use crate::runner::{
-    compute_shard, ArtifactStore, ComputedShard, ErrorPolicy, ShardProgress, StreamOptions,
-    StreamOutcome, SweepRun,
+    compute_shard, write_through, ArtifactStore, ComputedShard, ErrorPolicy, ShardProgress,
+    StreamOptions, StreamOutcome, SweepRun,
 };
 use crate::sink::RecordSink;
 use crate::spec::SweepSpec;
@@ -50,9 +52,9 @@ pub struct ComputedPart {
     pub body: String,
 }
 
-/// Computes one shard into its part form: cache writes (under `retry`,
-/// degrading on exhaustion rather than failing — shard producers always run
-/// under `KeepGoing`), then the rendered body.
+/// Computes one shard into its part form: the rendered body, with the
+/// shard's cache writes around it (under `retry`, degrading on exhaustion
+/// rather than failing — shard producers always run under `KeepGoing`).
 ///
 /// This is the compute path behind `worker` daemons answering
 /// `compute-shard` requests, so every worker produces identical bytes for a
@@ -72,32 +74,25 @@ pub fn compute_shard_part(
     spec.validate()?;
     let (computed, _live_failures) =
         compute_shard(spec, cache, shard, points.start, points.end, artifacts)?;
-    let mut cache_degraded = 0usize;
-    if let Some(cache) = cache {
-        for prepared in computed.slots.iter().flatten() {
-            if let Some((key, json)) = &prepared.cache_entry {
-                if retry
-                    .run(|| cache.put_serialized(key, json, &prepared.record))
-                    .is_err()
-                {
-                    cache_degraded += 1;
+    let ((body, emitted), cache_degraded) = write_through(
+        cache,
+        computed.slots,
+        ErrorPolicy::KeepGoing,
+        retry,
+        |slots| {
+            let mut body = String::new();
+            let mut emitted = 0usize;
+            for prepared in slots.iter().flatten() {
+                match &prepared.cache_entry {
+                    Some((_, json)) => body.push_str(json),
+                    None => body.push_str(&serde_json::to_string(&prepared.record)?),
                 }
+                body.push('\n');
+                emitted += 1;
             }
-        }
-        if retry.run(|| cache.flush()).is_err() {
-            cache_degraded += 1;
-        }
-    }
-    let mut body = String::new();
-    let mut emitted = 0usize;
-    for prepared in computed.slots.iter().flatten() {
-        match &prepared.cache_entry {
-            Some((_, json)) => body.push_str(json),
-            None => body.push_str(&serde_json::to_string(&prepared.record)?),
-        }
-        body.push('\n');
-        emitted += 1;
-    }
+            Ok((body, emitted))
+        },
+    )?;
     let meta = ShardCheckpoint {
         shard,
         points: computed.points,
@@ -141,7 +136,6 @@ pub fn merge_shard_source(
              --keep-going)",
         ));
     }
-    let mut run = SweepRun::start(spec, None, options, checkpoint.as_deref(), progress)?;
     let mut merge = |shard: usize, _start: usize, _end: usize| {
         let (meta, records) = fetch(shard)?;
         if meta.shard != shard {
@@ -152,8 +146,8 @@ pub fn merge_shard_source(
         }
         Ok(ComputedShard::from_part(meta, records))
     };
-    run.run_serial(&mut merge, sink, progress, checkpoint)?;
-    Ok(run.outcome())
+    SweepRun::start(spec, None, options, checkpoint.as_deref(), progress)?
+        .run(&mut merge, sink, progress, checkpoint)
 }
 
 #[cfg(test)]

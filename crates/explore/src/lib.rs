@@ -15,12 +15,12 @@
 //!   in configurable shards on a thread pool (`RAYON_NUM_THREADS` sized),
 //!   shares workload/accelerator artifacts within and across shards behind
 //!   [`std::sync::Arc`]s, overlaps each shard's simulation with the previous
-//!   shard's durability I/O on a dedicated writer thread whenever more than
-//!   one shard remains, pushes completed [`SweepRecord`]s into a
-//!   [`RecordSink`] (in-memory, pretty JSON, JSONL, CSV — flushed per shard)
-//!   in a deterministic order so result files are byte-identical at any
-//!   thread count, any chunk size, cold or warm, optionally keeps
-//!   going past failing points, and records per-shard
+//!   shard's durability I/O on a writer thread (the final shard persists on
+//!   the calling thread, so a one-shard sweep starts none), pushes completed
+//!   [`SweepRecord`]s into a [`RecordSink`] (in-memory, pretty JSON, JSONL,
+//!   CSV — flushed per shard) in a deterministic order so result files are
+//!   byte-identical at any thread count, any chunk size, cold or warm,
+//!   optionally keeps going past failing points, and records per-shard
 //!   outcomes in a sidecar [checkpoint](ExploreSession::checkpoint) so
 //!   interrupted sweeps resume without re-simulating completed shards or
 //!   re-attempting recorded failures;
@@ -105,8 +105,8 @@ pub use error::{ExploreError, Result};
 pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultyCache, FaultySink, PlannedFault};
 pub use pareto::{dominates, pareto_front, Objective, ParetoRecord};
 pub use record::{
-    csv_escape, csv_row, read_json, read_jsonl, read_records, read_records_as, to_csv, write_csv,
-    write_json, write_jsonl, CsvRecord, SweepRecord, CSV_HEADER,
+    csv_escape, csv_row, read_json, read_jsonl, read_records, read_records_as, to_csv, write_json,
+    write_jsonl, CsvRecord, SweepRecord, CSV_HEADER,
 };
 pub use retry::RetryPolicy;
 pub use runner::{

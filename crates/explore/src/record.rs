@@ -172,16 +172,6 @@ pub fn read_json(path: impl AsRef<Path>) -> Result<Vec<SweepRecord>> {
     Ok(serde_json::from_str(&text)?)
 }
 
-/// Writes records to `path` as CSV.
-///
-/// # Errors
-///
-/// Propagates file-system errors.
-pub fn write_csv(path: impl AsRef<Path>, records: &[SweepRecord]) -> Result<()> {
-    fs::write(&path, to_csv(records)).map_err(|e| ExploreError::io_at(&path, e))?;
-    Ok(())
-}
-
 /// Writes records to `path` as JSON Lines (one compact record per line).
 ///
 /// # Errors

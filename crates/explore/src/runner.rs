@@ -19,19 +19,20 @@
 //!   re-configured clone), and renders each fresh record's cache entry to
 //!   JSON *on the worker threads*;
 //! * the **I/O stage** persists the completed shard with the durability
-//!   contract intact — cache writes and flush, then sink emission (in
-//!   deterministic expansion order) and flush, then the checkpoint append.
+//!   contract intact — cache writes, sink emission (in deterministic
+//!   expansion order), cache flush and sink flush, then the checkpoint
+//!   append.
 //!
-//! Whenever more than one shard remains, the two stages overlap: computed
-//! shards flow through a bounded single-slot channel to a dedicated writer
+//! The calling thread computes every shard, and every shard but the final
+//! one flows through a bounded single-slot channel to a scoped writer
 //! thread, so shard N+1 simulates while shard N persists and the thread pool
-//! never idles during a durability window. A single remaining shard has
-//! nothing to overlap, so it runs both stages inline and skips the thread.
-//! Both loops run the same two stage functions, so their outputs are
-//! byte-identical. A fig9-style sweep whose 64 points share 4 distinct
-//! workloads pays for 4 extractions, not 64 — and a million-point sweep holds
-//! a few shards of points (plus their distinct artifacts) in memory, not the
-//! whole expansion.
+//! never idles during a durability window. The final shard persists on the
+//! calling thread once the writer has joined, so a one-shard sweep starts no
+//! thread. Either thread runs the same I/O stage, so where a shard persists
+//! never changes an output byte. A fig9-style sweep whose 64 points share 4
+//! distinct workloads pays for 4 extractions, not 64 — and a million-point
+//! sweep holds a few shards of points (plus their distinct artifacts) in
+//! memory, not the whole expansion.
 //!
 //! The public entry point is the [`ExploreSession`](crate::ExploreSession)
 //! builder.
@@ -55,7 +56,7 @@
 //! output bit versus per-point extraction (extraction and generation are pure
 //! functions of the key).
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::{mpsc, Arc, OnceLock};
 
@@ -970,45 +971,28 @@ pub(crate) fn compute_shard(
     ))
 }
 
-/// Runs one shard's I/O stage with the durability contract intact: cache
-/// writes (pre-rendered bytes), sink emission in expansion order (failed
-/// points simply have no record), cache flush, sink flush — plus an fsync
-/// when a checkpoint will vouch for the shard — then the checkpoint append,
-/// in that order, so a checkpointed shard is always fully recoverable.
-///
-/// Cache writes and flushes run under `retry`; when one still fails after
-/// the policy is exhausted, [`ErrorPolicy::KeepGoing`] degrades instead of
-/// aborting — the record reaches the sink regardless (it was only the cache
-/// copy that was lost; a re-run re-simulates that point) and the skip is
-/// ledgered in the returned count and the shard's checkpoint line. Sink
-/// errors stay hard under either policy: a sink that lost a record cannot
-/// be reconciled after the fact.
-///
-/// Returns how many cache operations were degraded, counting those the
-/// shard's producer already degraded.
-fn drain_shard(
-    computed: ComputedShard,
+/// Writes a shard's fresh records through `cache` around `emit`: every
+/// pre-rendered cache entry is stored first, then `emit` consumes the
+/// shard's slots, then the cache is flushed. Each cache write runs under
+/// `retry`. One that still fails is skipped and counted under
+/// [`ErrorPolicy::KeepGoing`] — the record still reaches `emit`, and a
+/// re-run re-simulates its point — and is the error under fail-fast.
+/// Returns what `emit` returned and the number of skipped writes. The local
+/// I/O stage ([`IoStage::drain_shard`]) and a worker's part
+/// ([`crate::compute_shard_part`]) both write their caches here.
+pub(crate) fn write_through<T>(
     cache: Option<&dyn CacheBackend>,
-    sink: &mut dyn RecordSink,
-    checkpoint: &mut Option<&mut Checkpoint>,
-    emitted: &mut usize,
+    slots: Vec<Option<PreparedRecord>>,
     policy: ErrorPolicy,
     retry: RetryPolicy,
-) -> Result<usize> {
-    let ComputedShard {
-        shard,
-        points,
-        hits,
-        slots,
-        checkpoint_failures,
-        cache_degraded: producer_degraded,
-    } = computed;
-    let mut cache_degraded = producer_degraded;
+    emit: impl FnOnce(Vec<Option<PreparedRecord>>) -> Result<T>,
+) -> Result<(T, usize)> {
+    let mut degraded = 0usize;
     let mut degrade = |result: Result<()>| -> Result<()> {
         match result {
             Ok(()) => Ok(()),
             Err(_) if policy == ErrorPolicy::KeepGoing => {
-                cache_degraded += 1;
+                degraded += 1;
                 Ok(())
             }
             Err(e) => Err(e),
@@ -1021,31 +1005,95 @@ fn drain_shard(
             }
         }
     }
-    let mut shard_emitted = 0usize;
-    for prepared in slots.into_iter().flatten() {
-        sink.accept(prepared.record)?;
-        shard_emitted += 1;
-    }
+    let emitted = emit(slots)?;
     if let Some(cache) = cache {
         degrade(retry.run(|| cache.flush()))?;
     }
-    retry.run(|| sink.flush_shard())?;
-    *emitted += shard_emitted;
-    if let Some(ckpt) = checkpoint.as_deref_mut() {
-        // The checkpoint line promises the shard's records are durable; force
-        // them onto stable storage before making that promise.
-        retry.run(|| sink.sync())?;
-        ckpt.record_shard(ShardCheckpoint {
+    Ok((emitted, degraded))
+}
+
+/// A sweep's I/O stage: where its shards persist, and the cumulative record
+/// count each checkpoint line carries. The writer thread borrows it while
+/// it runs; the calling thread persists the final shard through it once the
+/// writer has joined.
+struct IoStage<'s> {
+    cache: Option<&'s dyn CacheBackend>,
+    sink: &'s mut dyn RecordSink,
+    checkpoint: Option<&'s mut Checkpoint>,
+    /// Records durable so far, the checkpointed prefix included.
+    emitted: usize,
+    policy: ErrorPolicy,
+    retry: RetryPolicy,
+}
+
+/// One durable shard: what its progress report and the sweep's outcome
+/// need.
+struct Persisted {
+    shard: usize,
+    points: usize,
+    hits: usize,
+    failures: usize,
+    /// Cache writes skipped for this shard, its producer's included.
+    cache_degraded: usize,
+}
+
+impl IoStage<'_> {
+    /// Runs one shard's I/O stage with the durability contract intact: cache
+    /// writes (pre-rendered bytes), sink emission in expansion order (failed
+    /// points simply have no record), cache flush, sink flush — plus an
+    /// fsync when a checkpoint will vouch for the shard — then the
+    /// checkpoint append, in that order, so a checkpointed shard is always
+    /// fully recoverable.
+    ///
+    /// Cache writes may degrade under keep-going ([`write_through`]); the
+    /// skips, counting those the shard's producer already made, are ledgered
+    /// in the shard's checkpoint line. Sink errors stay hard under either
+    /// policy: a sink that lost a record cannot be reconciled after the fact.
+    fn drain_shard(&mut self, computed: ComputedShard) -> Result<Persisted> {
+        let ComputedShard {
             shard,
             points,
             hits,
-            misses: points - hits,
-            emitted: *emitted,
-            failures: checkpoint_failures,
+            slots,
+            checkpoint_failures,
+            cache_degraded: producer_degraded,
+        } = computed;
+        let sink = &mut *self.sink;
+        let (emitted, degraded) =
+            write_through(self.cache, slots, self.policy, self.retry, |slots| {
+                let mut emitted = 0usize;
+                for prepared in slots.into_iter().flatten() {
+                    sink.accept(prepared.record)?;
+                    emitted += 1;
+                }
+                Ok(emitted)
+            })?;
+        let cache_degraded = producer_degraded + degraded;
+        self.retry.run(|| self.sink.flush_shard())?;
+        self.emitted += emitted;
+        let failures = checkpoint_failures.len();
+        if let Some(ckpt) = self.checkpoint.as_deref_mut() {
+            // The checkpoint line promises the shard's records are durable; force
+            // them onto stable storage before making that promise.
+            self.retry.run(|| self.sink.sync())?;
+            ckpt.record_shard(ShardCheckpoint {
+                shard,
+                points,
+                hits,
+                misses: points - hits,
+                emitted: self.emitted,
+                failures: checkpoint_failures,
+                cache_degraded,
+            })?;
+        }
+        Ok(Persisted {
+            shard,
+            points,
+            hits,
+            failures,
             cache_degraded,
-        })?;
+        })
     }
-    Ok(cache_degraded)
 }
 
 /// The fail-fast abort error of a live point failure (`None` for failures
@@ -1061,34 +1109,6 @@ fn point_error(failure: &PointFailure) -> Option<ExploreError> {
     }
 }
 
-/// What the compute stage hands the writer thread.
-enum WriterMsg {
-    /// A computed shard to persist.
-    Shard(ComputedShard),
-    /// The last shard was submitted and drained cleanly; finalize the sink.
-    /// Deliberately *not* sent on a fail-fast or compute-stage abort, so an
-    /// aborted sweep leaves the sink unfinished exactly like the serial path.
-    Finish,
-}
-
-/// What the writer thread reports back to the compute stage.
-enum WriterNote {
-    /// One shard's I/O stage completed (or failed); success carries the
-    /// shard's cache-degraded count.
-    Drained { shard: usize, result: Result<usize> },
-    /// The sink was finalized.
-    Finished(Result<()>),
-}
-
-/// Per-shard metadata the compute stage keeps until the writer confirms the
-/// shard durable — the progress callback fires only then.
-struct PendingShard {
-    shard: usize,
-    points: usize,
-    hits: usize,
-    failed: usize,
-}
-
 /// The compute stage of one shard, called with `(shard, start, end)`: a
 /// local sweep simulates it ([`compute_shard`]); a merge fetches the part a
 /// worker computed ([`crate::merge_shard_source`]).
@@ -1096,8 +1116,9 @@ pub(crate) type ComputeStage<'s> =
     dyn FnMut(usize, usize, usize) -> Result<(ComputedShard, Vec<PointFailure>)> + 's;
 
 /// One sweep's shard geometry and running accounting. The local executor
-/// and the shard merge both start here, so they replay a checkpoint, persist
-/// shards ([`drain_shard`]) and report progress the same way.
+/// and the shard merge both start here and [`run`](Self::run) their shards
+/// through the same loop, so they replay a checkpoint, persist shards
+/// ([`IoStage::drain_shard`]) and report progress the same way.
 pub(crate) struct SweepRun<'a> {
     cache: Option<&'a dyn CacheBackend>,
     policy: ErrorPolicy,
@@ -1108,8 +1129,6 @@ pub(crate) struct SweepRun<'a> {
     /// First shard to execute (everything before it was skipped via
     /// checkpoint resume).
     first: usize,
-    /// Records already durable via the checkpointed prefix.
-    emitted: usize,
     stats: CacheStats,
     failures: Vec<PointFailure>,
     replayed_failures: usize,
@@ -1151,7 +1170,6 @@ impl<'a> SweepRun<'a> {
             shards,
             total,
             first: recorded.len(),
-            emitted: checkpoint.map_or(0, Checkpoint::emitted),
             stats: CacheStats::default(),
             failures: Vec::new(),
             replayed_failures: 0,
@@ -1180,19 +1198,6 @@ impl<'a> SweepRun<'a> {
         Ok(run)
     }
 
-    /// The sweep's accounting, once its shards have run.
-    pub(crate) fn outcome(self) -> StreamOutcome {
-        StreamOutcome {
-            stats: self.stats,
-            failures: self.failures,
-            replayed_failures: self.replayed_failures,
-            shards: self.shards,
-            total_points: self.total,
-            skipped_points: self.skipped_points,
-            cache_degraded: self.cache_degraded,
-        }
-    }
-
     fn shard_range(&self, shard: usize) -> (usize, usize) {
         let start = shard * self.shard_size;
         (start, (start + self.shard_size).min(self.total))
@@ -1214,217 +1219,121 @@ impl<'a> SweepRun<'a> {
         error
     }
 
-    fn report(&mut self, meta: &PendingShard, progress: &mut dyn FnMut(&ShardProgress)) {
-        self.done += meta.points;
+    fn report(&mut self, persisted: &Persisted, progress: &mut dyn FnMut(&ShardProgress)) {
+        self.cache_degraded += persisted.cache_degraded;
+        self.done += persisted.points;
         progress(&ShardProgress {
-            shard: meta.shard,
+            shard: persisted.shard,
             shards: self.shards,
-            points: meta.points,
-            hits: meta.hits,
-            failures: meta.failed,
+            points: persisted.points,
+            hits: persisted.hits,
+            failures: persisted.failures,
             skipped: 0,
             done: self.done,
             total: self.total,
         });
     }
 
-    /// The strictly-alternating loop: each shard's I/O stage runs inline
-    /// after its compute stage.
-    pub(crate) fn run_serial(
-        &mut self,
+    /// Runs the remaining shards in expansion order and returns the sweep's
+    /// accounting.
+    ///
+    /// The calling thread computes every shard. Each shard but the final
+    /// one goes through a single-slot channel to a scoped writer thread,
+    /// started with the first such shard, which persists it while the next
+    /// one computes; with one shard in the slot and one persisting, compute
+    /// never runs more than two shards ahead of durability. The final shard,
+    /// or the shard that fails fast, persists on the calling thread once
+    /// the writer has joined, so a one-shard sweep starts no thread.
+    /// Progress fires once per shard, in shard order, after the shard is
+    /// durable, and the sink is finished only after every shard persisted.
+    ///
+    /// The first error in expansion order wins: the writer's, then the
+    /// compute stage's, then the fail-fast point error. A panic in either
+    /// stage reaches the caller with its payload.
+    pub(crate) fn run(
+        mut self,
         compute: &mut ComputeStage<'_>,
         sink: &mut dyn RecordSink,
         progress: &mut dyn FnMut(&ShardProgress),
-        mut checkpoint: Option<&mut Checkpoint>,
-    ) -> Result<()> {
-        let mut emitted = self.emitted;
-        for shard in self.first..self.shards {
-            let (start, end) = self.shard_range(shard);
-            let (computed, shard_failures) = compute(shard, start, end)?;
-            let first_error = self.absorb(&computed, shard_failures);
-            let meta = PendingShard {
-                shard,
-                points: computed.points,
-                hits: computed.hits,
-                failed: computed.checkpoint_failures.len(),
-            };
-            self.cache_degraded += drain_shard(
-                computed,
-                self.cache,
-                sink,
-                &mut checkpoint,
-                &mut emitted,
-                self.policy,
-                self.retry,
-            )?;
-            self.report(&meta, progress);
-            if let Some(err) = first_error {
-                // FailFast: the failing shard was fully persisted (successes
-                // cached, emitted and checkpointed); later shards are not
-                // attempted.
-                return Err(err);
-            }
-        }
-        sink.finish()
-    }
-
-    /// Digests one feedback note from the writer thread: a cleanly-drained
-    /// shard fires the progress callback; a failed drain (or finish) records
-    /// the writer error and — mirroring the serial path — reports no progress
-    /// for that shard.
-    fn handle_note(
-        &mut self,
-        note: WriterNote,
-        pending: &mut VecDeque<PendingShard>,
-        progress: &mut dyn FnMut(&ShardProgress),
-        writer_error: &mut Option<ExploreError>,
-    ) {
-        match note {
-            WriterNote::Drained { shard, result } => {
-                let meta = pending.pop_front().expect("one note per submitted shard");
-                debug_assert_eq!(meta.shard, shard, "writer drains in submission order");
-                match result {
-                    Ok(degraded) => {
-                        self.cache_degraded += degraded;
-                        self.report(&meta, progress);
-                    }
-                    Err(e) => {
-                        if writer_error.is_none() {
-                            *writer_error = Some(e);
-                        }
-                    }
-                }
-            }
-            WriterNote::Finished(Ok(())) => {}
-            WriterNote::Finished(Err(e)) => {
-                if writer_error.is_none() {
-                    *writer_error = Some(e);
-                }
-            }
-        }
-    }
-
-    /// The pipelined executor: computed shards flow through a bounded
-    /// single-slot channel to a dedicated writer thread, which drains them in
-    /// submission (= expansion) order under the unchanged durability contract.
-    /// Shard N+1 therefore simulates while shard N persists; with the
-    /// single-slot buffer the compute stage never runs more than two shards
-    /// ahead of durability, bounding memory to a few shards of records.
-    fn run_pipelined(
-        &mut self,
-        compute: &mut ComputeStage<'_>,
-        sink: &mut dyn RecordSink,
-        progress: &mut dyn FnMut(&ShardProgress),
-        mut checkpoint: Option<&mut Checkpoint>,
-    ) -> Result<()> {
-        let emitted_base = self.emitted;
-        let cache = self.cache;
-        let policy = self.policy;
-        let retry = self.retry;
-        let checkpoint_slot = checkpoint.take();
-        std::thread::scope(|scope| {
-            let (work_tx, work_rx) = mpsc::sync_channel::<WriterMsg>(1);
-            let (note_tx, note_rx) = mpsc::channel::<WriterNote>();
-            let writer = scope.spawn(move || {
-                let mut checkpoint = checkpoint_slot;
-                let mut emitted = emitted_base;
-                while let Ok(msg) = work_rx.recv() {
-                    match msg {
-                        WriterMsg::Shard(computed) => {
-                            let shard = computed.shard;
-                            let result = drain_shard(
-                                computed,
-                                cache,
-                                sink,
-                                &mut checkpoint,
-                                &mut emitted,
-                                policy,
-                                retry,
-                            );
-                            let errored = result.is_err();
-                            let _ = note_tx.send(WriterNote::Drained { shard, result });
-                            if errored {
-                                // Dropping the receiver unblocks a compute
-                                // stage waiting on the single-slot channel.
-                                return;
-                            }
-                        }
-                        WriterMsg::Finish => {
-                            let _ = note_tx.send(WriterNote::Finished(sink.finish()));
-                            return;
-                        }
-                    }
-                }
-                // Sender dropped without `Finish`: fail-fast or compute-stage
-                // abort — leave the sink unfinished, like the serial path.
-            });
-
-            let mut pending: VecDeque<PendingShard> = VecDeque::new();
-            let mut writer_error: Option<ExploreError> = None;
-            let mut compute_error: Option<ExploreError> = None;
-            let mut first_error: Option<ExploreError> = None;
-
+        checkpoint: Option<&mut Checkpoint>,
+    ) -> Result<StreamOutcome> {
+        let mut io = IoStage {
+            cache: self.cache,
+            sink,
+            emitted: checkpoint.as_deref().map_or(0, Checkpoint::emitted),
+            checkpoint,
+            policy: self.policy,
+            retry: self.retry,
+        };
+        let last = std::thread::scope(|scope| {
+            let mut lent = Some(&mut io);
+            let mut writer = None;
+            let mut last = Ok(None);
             for shard in self.first..self.shards {
-                // Surface progress notes between shards so callbacks stay
-                // timely, and stop computing once the writer has failed.
-                while let Ok(note) = note_rx.try_recv() {
-                    self.handle_note(note, &mut pending, progress, &mut writer_error);
-                }
-                if writer_error.is_some() {
-                    break;
-                }
                 let (start, end) = self.shard_range(shard);
-                let (computed, shard_failures) = match compute(shard, start, end) {
-                    Ok(result) => result,
+                let (computed, failures) = match compute(shard, start, end) {
+                    Ok(computed) => computed,
                     Err(e) => {
-                        compute_error = Some(e);
+                        last = Err(e);
                         break;
                     }
                 };
-                first_error = self.absorb(&computed, shard_failures);
-                pending.push_back(PendingShard {
-                    shard,
-                    points: computed.points,
-                    hits: computed.hits,
-                    failed: computed.checkpoint_failures.len(),
+                let fail_fast = self.absorb(&computed, failures);
+                if fail_fast.is_some() || shard + 1 == self.shards {
+                    last = Ok(Some((computed, fail_fast)));
+                    break;
+                }
+                let (shards, notes, _) = writer.get_or_insert_with(|| {
+                    let io = lent.take().expect("the writer starts once");
+                    let (shards, queued) = mpsc::sync_channel::<ComputedShard>(1);
+                    let (noted, notes) = mpsc::channel();
+                    let thread = scope.spawn(move || -> Result<()> {
+                        for computed in queued {
+                            // The receiver lives until the writer joins,
+                            // unless a compute-stage panic is unwinding.
+                            let _ = noted.send(io.drain_shard(computed)?);
+                        }
+                        Ok(())
+                    });
+                    (shards, notes, thread)
                 });
-                // The failing shard (under FailFast) is still submitted — and
-                // therefore fully persisted — before the abort.
-                if work_tx.send(WriterMsg::Shard(computed)).is_err() {
-                    // The writer exited after an error; the note carrying it
-                    // is already in (or on its way into) the feedback queue.
+                // The writer only drops its end on an error, which its join
+                // below returns.
+                if shards.send(computed).is_err() {
                     break;
                 }
-                if first_error.is_some() {
-                    break;
+                for persisted in notes.try_iter() {
+                    self.report(&persisted, progress);
                 }
             }
-            if writer_error.is_none() && compute_error.is_none() && first_error.is_none() {
-                let _ = work_tx.send(WriterMsg::Finish);
+            if let Some((shards, notes, thread)) = writer {
+                drop(shards);
+                let written = thread
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                for persisted in notes.try_iter() {
+                    self.report(&persisted, progress);
+                }
+                written?;
             }
-            drop(work_tx);
-            // Drain every remaining note; the writer exits once its queue
-            // empties (or immediately after an error), closing the channel.
-            while let Ok(note) = note_rx.recv() {
-                self.handle_note(note, &mut pending, progress, &mut writer_error);
+            last
+        })?;
+        if let Some((computed, fail_fast)) = last {
+            let persisted = io.drain_shard(computed)?;
+            self.report(&persisted, progress);
+            if let Some(error) = fail_fast {
+                return Err(error);
             }
-            if let Err(panic) = writer.join() {
-                std::panic::resume_unwind(panic);
-            }
-            // Error precedence mirrors the serial path: an I/O-stage error
-            // surfaces first (its shard precedes anything still in flight),
-            // then a compute-stage engine error, then the fail-fast point
-            // error.
-            if let Some(e) = writer_error {
-                return Err(e);
-            }
-            if let Some(e) = compute_error {
-                return Err(e);
-            }
-            if let Some(e) = first_error {
-                return Err(e);
-            }
-            Ok(())
+        }
+        io.sink.finish()?;
+        Ok(StreamOutcome {
+            stats: self.stats,
+            failures: self.failures,
+            replayed_failures: self.replayed_failures,
+            shards: self.shards,
+            total_points: self.total,
+            skipped_points: self.skipped_points,
+            cache_degraded: self.cache_degraded,
         })
     }
 }
@@ -1434,9 +1343,8 @@ impl<'a> SweepRun<'a> {
 /// deterministic expansion order, reporting per-shard progress, flushing the
 /// cache and sink at every shard boundary, and — when a checkpoint is given —
 /// recording each completed shard after its data is durable and skipping
-/// shards the checkpoint already records. Whenever more than one shard
-/// remains, shard compute overlaps the previous shard's durability I/O on a
-/// dedicated writer thread.
+/// shards the checkpoint already records. Each shard's compute overlaps the
+/// previous shard's durability I/O ([`SweepRun::run`]).
 pub(crate) fn execute(
     spec: &SweepSpec,
     cache: Option<&dyn CacheBackend>,
@@ -1446,17 +1354,12 @@ pub(crate) fn execute(
     checkpoint: Option<&mut Checkpoint>,
     artifacts: &std::sync::Mutex<ArtifactStore>,
 ) -> Result<StreamOutcome> {
-    let mut run = SweepRun::start(spec, cache, options, checkpoint.as_deref(), progress)?;
-    let mut compute = |shard, start, end| compute_shard(spec, cache, shard, start, end, artifacts);
-    // Overlap pays only when more than one shard remains: with a single
-    // shard there is no I/O window to hide the next shard's compute in, and
-    // the writer thread would only add its start-up cost.
-    if run.shards - run.first > 1 {
-        run.run_pipelined(&mut compute, sink, progress, checkpoint)?;
-    } else {
-        run.run_serial(&mut compute, sink, progress, checkpoint)?;
-    }
-    Ok(run.outcome())
+    SweepRun::start(spec, cache, options, checkpoint.as_deref(), progress)?.run(
+        &mut |shard, start, end| compute_shard(spec, cache, shard, start, end, artifacts),
+        sink,
+        progress,
+        checkpoint,
+    )
 }
 
 #[cfg(test)]
@@ -1656,9 +1559,10 @@ mod tests {
 
     #[test]
     fn pipelined_execution_matches_the_serial_path_exactly() {
-        // Multi-shard sweeps run on the writer-thread pipeline, one-shard
-        // sweeps inline: records, stats, failure lists and progress must be
-        // indistinguishable between the two, including a failing sweep.
+        // A multi-shard sweep persists all but its final shard on the writer
+        // thread, a one-shard sweep persists on the calling thread: records,
+        // stats, failure lists and progress must be indistinguishable between
+        // the two, including a failing sweep.
         let spec = SweepSpec::new("pipeline-equiv")
             .with_wavelengths(vec![1, 2])
             .with_sparsity(vec![0.0, 0.5])
@@ -1978,8 +1882,10 @@ mod tests {
 
     #[test]
     fn a_resume_with_one_shard_left_matches_the_uninterrupted_run() {
-        // Three shards run on the writer thread; the resume has one shard
-        // left, so it runs inline. Together they must emit the full run.
+        // The first run persists shards 0 and 1 on the writer thread and
+        // fails on its final shard 2 on the calling thread; the resume has
+        // that one shard left, which persists on the calling thread.
+        // Together they must emit the full run.
         let dir =
             std::env::temp_dir().join(format!("simphony-explore-one-left-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();

@@ -141,22 +141,6 @@ impl<'a> ExploreSession<'a> {
         self
     }
 
-    /// Aborts on the first failing point (the default; see
-    /// [`ErrorPolicy::FailFast`]).
-    #[must_use]
-    pub fn fail_fast(mut self) -> Self {
-        self.options.error_policy = ErrorPolicy::FailFast;
-        self
-    }
-
-    /// Replaces the whole option block at once (compatibility with code that
-    /// already holds a [`StreamOptions`]).
-    #[must_use]
-    pub fn options(mut self, options: StreamOptions) -> Self {
-        self.options = options;
-        self
-    }
-
     /// Sends completed records to `sink`, in deterministic expansion order,
     /// flushed at every shard boundary. Without a sink, [`run`](Self::run)
     /// discards records (useful for cache-warming) and

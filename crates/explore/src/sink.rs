@@ -48,9 +48,11 @@ use crate::record::{CsvRecord, SweepRecord};
 ///
 /// Implementations stay **single-threaded**: the executor only ever drives a
 /// sink from one thread at a time, with calls in the order above, so no
-/// internal synchronization is needed. The `Send` bound exists because the
-/// pipelined executor moves the sink onto its dedicated writer thread — the
-/// sink crosses a thread boundary once, it is never shared.
+/// internal synchronization is needed. The `Send` bound exists because a
+/// multi-shard sweep lends the sink to its writer thread, which persists
+/// every shard but the final one; the calling thread persists the final
+/// shard and finishes the sink after that thread has joined, so the sink is
+/// never used from two threads at once.
 pub trait RecordSink<R = SweepRecord>: Send {
     /// Accepts the next completed record.
     ///
