@@ -1,7 +1,7 @@
 //! The daemon: TCP listener, per-connection worker threads, admission
 //! control, and the request handlers that reuse the exploration engine.
 
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -38,7 +38,8 @@ pub const DEFAULT_SERVE_CHUNK: usize = 64;
 /// is graceful: the daemon shuts its write half after the frame, then reads
 /// and discards up to this many more bytes, for at most a few seconds,
 /// before it drops the socket, so a client still sending reads the frame
-/// instead of a reset.
+/// instead of a reset. The client side ([`Client`]) reads each line the
+/// daemon sends under the same cap.
 pub const MAX_REQUEST_LINE_BYTES: usize = 64 * 1024 * 1024;
 
 /// How often the accept loop and idle readers check the shutdown flag.
@@ -837,18 +838,65 @@ fn protocol_err(addr: &str, message: String) -> ExploreError {
     ExploreError::io_at(addr, io::Error::new(io::ErrorKind::InvalidData, message))
 }
 
+/// How many bytes of a server line a client error quotes.
+const QUOTED_BYTES: usize = 64;
+
+/// The start of `line`, quoted for an error message: at most
+/// [`QUOTED_BYTES`] bytes, then an ellipsis when the line goes on.
+fn quoted(line: &[u8]) -> String {
+    let head = String::from_utf8_lossy(&line[..line.len().min(QUOTED_BYTES)]);
+    let more = if line.len() > QUOTED_BYTES { "…" } else { "" };
+    format!("{head:?}{more}")
+}
+
+/// Reads one line the server sent, without its newline, or `None` at end
+/// of stream. Lines are capped like requests, at [`MAX_REQUEST_LINE_BYTES`]:
+/// a longer line is a protocol error and nothing past the cap is read, so a
+/// peer that keeps sending can neither grow the client without bound nor
+/// hold it past the cap by beating the read timeout.
+fn read_server_line(addr: &str, reader: &mut BufReader<TcpStream>) -> Result<Option<String>> {
+    let mut line = Vec::new();
+    let read = reader
+        .by_ref()
+        .take(MAX_REQUEST_LINE_BYTES as u64 + 1)
+        .read_until(b'\n', &mut line)
+        .map_err(|e| ExploreError::io_at(addr, e))?;
+    if read == 0 {
+        return Ok(None);
+    }
+    if line.last() == Some(&b'\n') {
+        line.pop();
+    }
+    if line.len() > MAX_REQUEST_LINE_BYTES {
+        return Err(protocol_err(
+            addr,
+            format!(
+                "server line longer than {MAX_REQUEST_LINE_BYTES} bytes: {}",
+                quoted(&line)
+            ),
+        ));
+    }
+    String::from_utf8(line)
+        .map(Some)
+        .map_err(|e| protocol_err(addr, e.to_string()))
+}
+
 /// Reads the server's hello frame and validates the protocol version.
 fn read_hello(addr: &str, reader: &mut BufReader<TcpStream>) -> Result<()> {
-    let mut line = String::new();
-    reader
-        .read_line(&mut line)
-        .map_err(|e| ExploreError::io_at(addr, e))?;
-    let hello: Value = serde_json::from_str(line.trim())
-        .map_err(|_| protocol_err(addr, format!("not a simphony-serve greeting: {line:?}")))?;
+    let line = read_server_line(addr, reader)?.unwrap_or_default();
+    let hello: Value = serde_json::from_str(line.trim()).map_err(|_| {
+        protocol_err(
+            addr,
+            format!("not a simphony-serve greeting: {}", quoted(line.as_bytes())),
+        )
+    })?;
     let frame = hello.get("frame").and_then(Value::as_str);
     let version = hello.get("protocol").and_then(Value::as_u64);
     if frame != Some("hello") {
-        return Err(protocol_err(addr, format!("unexpected greeting: {line:?}")));
+        return Err(protocol_err(
+            addr,
+            format!("unexpected greeting: {}", quoted(line.as_bytes())),
+        ));
     }
     if version != Some(PROTOCOL_VERSION) {
         return Err(protocol_err(
@@ -1009,21 +1057,15 @@ impl Client {
             .map_err(|e| ExploreError::io_at(addr, e))?;
         let mut lines = Vec::new();
         loop {
-            let mut buf = String::new();
-            match self.reader.read_line(&mut buf) {
-                Ok(0) => {
-                    return Err(protocol_err(
-                        addr,
-                        "server closed the stream before a terminal frame".to_string(),
-                    ))
-                }
-                Ok(_) => {}
-                // The read timeout equals the connect timeout, so a single
-                // tick means the server produced nothing for that long —
-                // pick a timeout that covers the worst inter-shard gap.
-                Err(e) => return Err(ExploreError::io_at(addr, e)),
-            }
-            let line = buf.trim_end_matches('\n').to_string();
+            // The read timeout equals the connect timeout, so a single tick
+            // means the server produced nothing for that long — pick a
+            // timeout that covers the worst inter-shard gap.
+            let Some(line) = read_server_line(addr, &mut self.reader)? else {
+                return Err(protocol_err(
+                    addr,
+                    "server closed the stream before a terminal frame".to_string(),
+                ));
+            };
             let terminal = protocol::is_terminal_frame(&line)
                 || line.starts_with("{\"frame\":\"pong\"")
                 || line.starts_with("{\"frame\":\"bye\"");

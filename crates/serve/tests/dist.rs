@@ -1,9 +1,9 @@
 //! Distributed-sweep tests: byte-identity with the local executors at any
 //! worker count, the `compute-shard` wire framing, worker-death recovery,
 //! checkpoint resume, fatal-vs-transient fleet errors, and the client's
-//! transparent reconnect contract.
+//! transparent reconnect contract and line cap.
 
-use std::io::Read as _;
+use std::io::{BufRead, BufReader, Read as _, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -14,7 +14,10 @@ use simphony_explore::{
     Checkpoint, CheckpointHeader, ExploreError, ExploreSession, JsonlSink, RecordSink, Result,
     RetryPolicy, StreamOptions, SweepRecord, SweepSpec, VecSink,
 };
-use simphony_serve::{distribute_sweep, request, Client, DistConfig, ServeConfig, Server};
+use simphony_serve::protocol::hello_frame;
+use simphony_serve::{
+    distribute_sweep, request, Client, DistConfig, ServeConfig, Server, MAX_REQUEST_LINE_BYTES,
+};
 
 const TIMEOUT: Duration = Duration::from_secs(120);
 
@@ -387,6 +390,78 @@ fn usage_rejection_is_fatal_and_does_not_spin_on_redispatch() {
 
     worker.shutdown();
     worker.join();
+}
+
+/// One line past what a client reads: the line cap plus 1 MiB.
+const LONG_LINE: usize = MAX_REQUEST_LINE_BYTES + (1 << 20);
+
+/// A fake peer on loopback that sends [`LONG_LINE`] bytes with no newline:
+/// as its greeting with `long_greeting`, else after a valid hello, as its
+/// answer to every request line. A failed write ends the connection (the
+/// client hung up).
+fn flooding_peer(long_greeting: bool) -> String {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("fake peer binds");
+    let addr = listener.local_addr().expect("fake peer addr").to_string();
+    std::thread::spawn(move || {
+        let block = vec![b'x'; 1 << 20];
+        let flood = |stream: &mut TcpStream| {
+            (0..LONG_LINE / block.len()).try_for_each(|_| stream.write_all(&block))
+        };
+        for stream in listener.incoming() {
+            let Ok(mut stream) = stream else { break };
+            if long_greeting {
+                let _ = flood(&mut stream);
+                continue;
+            }
+            let mut reader = BufReader::new(stream.try_clone().expect("clones"));
+            let mut line = String::new();
+            let _ = writeln!(stream, "{}", hello_frame());
+            while reader.read_line(&mut line).is_ok_and(|read| read > 0) {
+                if flood(&mut stream).is_err() {
+                    break;
+                }
+                line.clear();
+            }
+        }
+    });
+    addr
+}
+
+#[test]
+fn an_over_long_part_line_retires_the_worker() {
+    let config = DistConfig {
+        workers: vec![flooding_peer(false)],
+        retry: RetryPolicy::none(),
+        ..DistConfig::default()
+    };
+    let err = distribute_sweep(
+        &fleet_spec(),
+        &StreamOptions::chunked(2).keep_going(),
+        &config,
+        &mut VecSink::new(),
+        &mut |_| {},
+        None,
+    )
+    .expect_err("a worker that floods one line cannot finish the sweep");
+    assert!(
+        matches!(err, ExploreError::ConnectionLost { .. }),
+        "expected ConnectionLost, got: {err}"
+    );
+    assert!(err.to_string().contains("longer than"), "{err}");
+}
+
+#[test]
+fn an_over_long_greeting_is_a_protocol_error() {
+    let err = Client::connect(&flooding_peer(true), TIMEOUT)
+        .err()
+        .expect("an over-long greeting is refused");
+    let ExploreError::Io { source, .. } = &err else {
+        panic!("expected a protocol error, got: {err}");
+    };
+    assert_eq!(source.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    let message = err.to_string();
+    assert!(message.contains("longer than"), "{message}");
+    assert!(message.len() < 256, "quotes a short prefix: {message}");
 }
 
 #[test]
