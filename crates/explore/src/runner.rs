@@ -1297,8 +1297,8 @@ impl<'a> SweepRun<'a> {
                     });
                     (shards, notes, thread)
                 });
-                // The writer only drops its end on an error, which its join
-                // below returns.
+                // The writer drops its end only after an error or a panic,
+                // which its join below returns.
                 if shards.send(computed).is_err() {
                     break;
                 }
