@@ -1,6 +1,8 @@
 //! Process-level failure tests of the CLI: exit codes, diverging-resume
-//! diagnostics and hostile input files. The crash drill — a worker killed
-//! mid-shard by an injected abort — lives with the fleet tests in `dist.rs`.
+//! diagnostics, hostile input files and the crash matrix, a local sweep
+//! killed at each step of its durability chain. The crash drill — a worker
+//! killed mid-shard by an injected abort — lives with the fleet tests in
+//! `dist.rs`.
 
 use std::path::{Path, PathBuf};
 use std::process::Output;
@@ -179,6 +181,124 @@ fn resume_names_each_diverging_checkpoint_field() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("spec fingerprint"), "{stderr}");
     assert!(stderr.contains("total points"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// 12 data-unaware points of the example GEMM on TeMPO: bits {4, 8} x
+/// sparsity {0, 0.25, 0.5} x 2 dataflows. Points that differ only in
+/// sparsity share a simulation, and they lie two apart, so at chunk size 3
+/// some shards hold two points of one group and some groups straddle a
+/// shard boundary.
+const CRASH_SPEC: &str = r#"{
+    "name": "crash-matrix",
+    "workload": [{"Gemm": {"m": 280, "k": 28, "n": 280}}],
+    "arch": ["Tempo"],
+    "tiles": [2],
+    "cores_per_tile": [2],
+    "core_height": [4],
+    "core_width": [4],
+    "wavelengths": [2],
+    "bitwidth": [4, 8],
+    "sparsity": [0.0, 0.25, 0.5],
+    "dataflow": ["OutputStationary", "WeightStationary"],
+    "data_awareness": ["Unaware"],
+    "clock_ghz": 5.0,
+    "seed": 42
+}"#;
+
+/// The durability chain's counted ops (cache puts and flushes, sink
+/// accepts, flushes, syncs and the final finish) of [`CRASH_SPEC`] at chunk
+/// size 3: 9 per shard of 4, then the finish.
+const CRASH_SPEC_OPS: u64 = 37;
+
+#[test]
+fn a_sweep_killed_at_any_durability_op_resumes_byte_identically() {
+    let dir = scratch_dir("crash-matrix");
+    let spec = dir.join("crash-matrix.json");
+    std::fs::write(&spec, CRASH_SPEC).expect("spec writes");
+    let spec = spec.to_str().unwrap();
+    // Each run gets its own cache, checkpoint and JSONL under `run_dir`.
+    let paths = |run_dir: &Path| {
+        std::fs::create_dir_all(run_dir).expect("run dir creates");
+        ["cache", "sweep.ckpt", "records.jsonl"].map(|name| {
+            let path = run_dir.join(name);
+            path.to_str().unwrap().to_string()
+        })
+    };
+    let sweep = |[cache, ckpt, jsonl]: &[String; 3], plan: &[&str]| {
+        let mut args = vec![
+            "sweep",
+            "--spec",
+            spec,
+            "--cache",
+            cache,
+            "--checkpoint",
+            ckpt,
+            "--jsonl",
+            jsonl,
+            "--keep-going",
+            "--chunk-size",
+            "3",
+            "--quiet",
+        ];
+        args.extend(plan);
+        run(&args)
+    };
+    let read = |jsonl: &str| std::fs::read_to_string(jsonl).expect("records read");
+
+    let clean = paths(&dir.join("clean"));
+    let out = sweep(&clean, &[]);
+    assert_eq!(exit_code(&out), 0, "uninterrupted sweep: {out:?}");
+    let expected = read(&clean[2]);
+    assert_eq!(expected.lines().count(), 12);
+
+    // Abort at op 0, 1, ... until the sweep runs out of ops before the
+    // fault fires; each killed sweep must resume to the uninterrupted bytes.
+    let mut op = 0u64;
+    loop {
+        let run_dir = dir.join(format!("op-{op}"));
+        let files = paths(&run_dir);
+        let plan = run_dir.join("plan.json");
+        std::fs::write(
+            &plan,
+            format!(
+                r#"{{"seed":0,"transient_error_rate":0.0,"faults":[{{"op":{op},"kind":"Abort"}}]}}"#
+            ),
+        )
+        .expect("plan writes");
+        let out = sweep(&files, &["--fault-plan", plan.to_str().unwrap()]);
+        if out.status.success() {
+            assert_eq!(
+                read(&files[2]),
+                expected,
+                "a sweep with fewer than {op} ops"
+            );
+            break;
+        }
+        assert_eq!(
+            out.status.code(),
+            None,
+            "op {op}: killed by the abort: {out:?}"
+        );
+        let [cache, ckpt, jsonl] = &files;
+        let out = run(&[
+            "resume",
+            "--spec",
+            spec,
+            "--checkpoint",
+            ckpt,
+            "--jsonl",
+            jsonl,
+            "--cache",
+            cache,
+            "--quiet",
+        ]);
+        assert_eq!(exit_code(&out), 0, "resume after op {op}: {out:?}");
+        assert_eq!(read(jsonl), expected, "resume after op {op}");
+        op += 1;
+        assert!(op <= CRASH_SPEC_OPS, "the sweep outlived every abort");
+    }
+    assert_eq!(op, CRASH_SPEC_OPS);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -254,6 +254,10 @@ struct CompiledAccelerator {
 /// this process (see [`Simulator::compiles`]).
 static COMPILES: AtomicUsize = AtomicUsize::new(0);
 
+/// Simulations run by [`Simulator::simulate_memoized`] in this process (see
+/// [`Simulator::simulations`]).
+static SIMULATIONS: AtomicUsize = AtomicUsize::new(0);
+
 impl CompiledAccelerator {
     fn new(accelerator: &Accelerator) -> Self {
         COMPILES.fetch_add(1, Ordering::Relaxed);
@@ -379,6 +383,14 @@ impl Simulator {
         COMPILES.load(Ordering::Relaxed)
     }
 
+    /// How many simulations [`simulate_memoized`](Self::simulate_memoized)
+    /// (and so [`simulate`](Self::simulate)) has run in this process,
+    /// failed ones included: a deterministic work counter for tests that
+    /// hold a caller to simulating each distinct configuration once.
+    pub fn simulations() -> usize {
+        SIMULATIONS.load(Ordering::Relaxed)
+    }
+
     /// Picks the sub-architecture index a layer runs on, falling back to any
     /// design that supports dynamic products when the planned one cannot.
     fn place_layer(
@@ -495,6 +507,7 @@ impl Simulator {
         memo: &WeightPowerMemo<'_>,
         plan: &MappingPlan,
     ) -> Result<SimulationReport> {
+        SIMULATIONS.fetch_add(1, Ordering::Relaxed);
         let workload = memo.workload();
         let subs = self.accelerator.sub_archs();
 

@@ -16,8 +16,11 @@
 //!   weight power model in the shard) and one compiled simulator per
 //!   accelerator (its instance counts, link budgets, energy tables and area
 //!   reports are computed once in the shard, and every point runs on a
-//!   re-configured clone), and renders each fresh record's cache entry to
-//!   JSON *on the worker threads*;
+//!   re-configured clone), simulates each distinct simulation identity
+//!   among the misses once (`SimKey`: the workload and accelerator keys plus
+//!   the simulation config; data-unaware points that differ only in sparsity
+//!   share one report, and each builds its own record from it), and renders
+//!   each fresh record's cache entry to JSON *on the worker threads*;
 //! * the **I/O stage** persists the completed shard with the durability
 //!   contract intact — cache writes, sink emission (in deterministic
 //!   expansion order), cache flush and sink flush, then the checkpoint
@@ -74,7 +77,7 @@ use crate::error::{ExploreError, Result};
 use crate::record::SweepRecord;
 use crate::retry::RetryPolicy;
 use crate::sink::RecordSink;
-use crate::spec::{ArchKey, SweepPoint, SweepSpec, WorkloadKey};
+use crate::spec::{ArchKey, SimKey, SweepPoint, SweepSpec, WorkloadKey};
 
 /// The result of one in-memory sweep: ordered records plus cache accounting.
 #[derive(Debug, Clone)]
@@ -721,18 +724,19 @@ pub(crate) struct MemoizedShard<'a> {
 }
 
 impl MemoizedShard<'_> {
-    /// Simulates `point` on a clone of its accelerator's compiled simulator,
-    /// configured for the point, through its workload's memo.
-    fn simulate(&self, point: &SweepPoint) -> SimResult<SimulationReport> {
-        let memo = self.workloads[&point.workload_key()]
+    /// Runs the simulation `key` names on a clone of its accelerator's
+    /// compiled simulator, configured by the key, through its workload's
+    /// memo. The key is all the simulation reads.
+    fn simulate(&self, key: &SimKey) -> SimResult<SimulationReport> {
+        let memo = self.workloads[&key.workload]
             .as_ref()
             .map_err(|&error| error.clone())?;
-        let (accel, compiled) = &self.simulators[&point.arch_key()];
+        let (accel, compiled) = &self.simulators[&key.arch];
         let accel = accel.as_ref().map_err(SimError::clone)?;
         compiled
             .get_or_init(|| Simulator::shared(Arc::clone(accel)))
             .clone()
-            .with_config(point.sim_config())
+            .with_config(key.config())
             .simulate_memoized(memo, &MappingPlan::default())
     }
 
@@ -763,7 +767,64 @@ pub fn simulate_point_shared(
 ) -> SimResult<SimulationReport> {
     ShardArtifacts::build(&[point], store)
         .memoized()
-        .simulate(point)
+        .simulate(&point.sim_key())
+}
+
+/// A simulation that several missed points of one shard share, because
+/// their [`SimKey`]s are equal: the first member to arrive runs it while the
+/// others wait, every member builds its record from the one report, and the
+/// last member drops it, so a report lives only while its group has points
+/// left.
+struct SharedSimulation {
+    /// The simulation's outcome once run, and how many members have yet to
+    /// read it.
+    slot: std::sync::Mutex<(Option<SimResult<SimulationReport>>, usize)>,
+}
+
+impl SharedSimulation {
+    fn new(members: usize) -> Self {
+        Self {
+            slot: std::sync::Mutex::new((None, members)),
+        }
+    }
+
+    /// Hands the group's outcome to `read`, simulating first if no member
+    /// has yet. A simulation that panicked poisons the lock with the slot
+    /// still empty; the lock is recovered, so the next member simulates
+    /// again and the panic that reaches the caller is a simulation's own.
+    fn read<T>(
+        &self,
+        simulate: impl FnOnce() -> SimResult<SimulationReport>,
+        read: impl FnOnce(&SimResult<SimulationReport>) -> T,
+    ) -> T {
+        let mut slot = self
+            .slot
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let (outcome, unread) = &mut *slot;
+        let value = read(outcome.get_or_insert_with(simulate));
+        *unread -= 1;
+        if *unread == 0 {
+            *outcome = None;
+        }
+        value
+    }
+}
+
+/// The record of `point` from its simulation's outcome, or its failure under
+/// its own index and label.
+fn point_record(
+    point: SweepPoint,
+    simulated: &SimResult<SimulationReport>,
+) -> std::result::Result<SweepRecord, PointFailure> {
+    match simulated {
+        Ok(report) => Ok(SweepRecord::from_report(point, report)),
+        Err(error) => Err(PointFailure {
+            index: point.index,
+            label: point.label(),
+            error: FailureCause::Sim(error.clone()),
+        }),
+    }
 }
 
 /// A record ready for the I/O stage. Fresh simulations carry their cache
@@ -837,7 +898,15 @@ fn recorded_failures(failures: &[CheckpointFailure]) -> impl Iterator<Item = Poi
 /// ([`ShardArtifacts::memoized`]), so the shard folds each layer's
 /// data-aware weight power once per weight power model and compiles each
 /// accelerator once; the memos and the compiled simulators are dropped with
-/// the shard. The local executor, resume, the daemon's bulk lane and the
+/// the shard.
+///
+/// The shard also simulates each distinct [`SimKey`] among its misses once:
+/// data-unaware points that differ only in sparsity (or seed) share one
+/// report, from which each builds its own record, cache entry and failure,
+/// so no output byte moves. A report is dropped once its last point has read
+/// it. The 192-point `extract_heavy` sweep simulates 48 times in 64-point
+/// shards; a data-aware key holds its sparsity and seed, so nothing is
+/// shared there. The local executor, resume, the daemon's bulk lane and the
 /// worker fleet all compute their shards here.
 pub(crate) fn compute_shard(
     spec: &SweepSpec,
@@ -921,24 +990,40 @@ pub(crate) fn compute_shard(
         ShardArtifacts::build(&missed_refs, artifacts)
     };
     let memoized = shard_artifacts.memoized();
+    // Keys that repeat among the misses get a shared slot; a key seen once
+    // simulates on its own, as if nothing were shared.
+    let mut members: HashMap<SimKey, usize> = HashMap::with_capacity(missed.len());
+    for point in &missed {
+        *members.entry(point.sim_key()).or_default() += 1;
+    }
+    let shared: HashMap<SimKey, SharedSimulation> = members
+        .into_iter()
+        .filter(|&(_, count)| count > 1)
+        .map(|(key, count)| (key, SharedSimulation::new(count)))
+        .collect();
     type PointResult = std::result::Result<PreparedRecord, PointFailure>;
     let computed: Vec<Result<PointResult>> = missed
         .into_par_iter()
-        .map(|point| match memoized.simulate(&point) {
-            Ok(report) => {
-                let record = SweepRecord::from_report(point, &report);
-                let key = content_key(&record.point);
-                let json = serde_json::to_string(&record)?;
-                Ok(Ok(PreparedRecord {
-                    record,
-                    cache_entry: Some((key, json)),
-                }))
+        .map(|point| {
+            let sim_key = point.sim_key();
+            let record = match shared.get(&sim_key) {
+                Some(group) => group.read(
+                    || memoized.simulate(&sim_key),
+                    |simulated| point_record(point, simulated),
+                ),
+                None => point_record(point, &memoized.simulate(&sim_key)),
+            };
+            match record {
+                Ok(record) => {
+                    let key = content_key(&record.point);
+                    let json = serde_json::to_string(&record)?;
+                    Ok(Ok(PreparedRecord {
+                        record,
+                        cache_entry: Some((key, json)),
+                    }))
+                }
+                Err(failure) => Ok(Err(failure)),
             }
-            Err(error) => Ok(Err(PointFailure {
-                index: point.index,
-                label: point.label(),
-                error: FailureCause::Sim(error),
-            })),
         })
         .collect();
 
@@ -1507,6 +1592,78 @@ mod tests {
     }
 
     #[test]
+    fn a_failing_shared_simulation_fails_each_point_of_its_group() {
+        // The static MZI mesh refuses BERT's dynamic products, and the three
+        // unaware points differ only in sparsity, so a shard holding two or
+        // three of them simulates once. Each must still fail under its own
+        // index and label, with the message of its own cold simulation, and
+        // the checkpoint must record each shard as if it had simulated every
+        // point.
+        let spec = SweepSpec::new("failing-group")
+            .with_arch(vec![ArchFamily::MziMesh])
+            .with_workload(vec![WorkloadSpec::Bert { seq_len: 32 }])
+            .with_sparsity(vec![0.0, 0.25, 0.5])
+            .with_data_awareness(vec![simphony::DataAwareness::Unaware]);
+        let expected: Vec<CheckpointFailure> = spec
+            .expand()
+            .unwrap()
+            .iter()
+            .map(|point| CheckpointFailure {
+                index: point.index,
+                label: point.label(),
+                error: simulate_point(point).unwrap_err().to_string(),
+            })
+            .collect();
+        let dir = std::env::temp_dir().join(format!(
+            "simphony-explore-failing-group-{}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        for (chunk, shards) in [(0, vec![(0, 3)]), (2, vec![(0, 2), (2, 3)])] {
+            let ckpt = dir.join(format!("chunk-{chunk}.ckpt"));
+            std::fs::remove_file(&ckpt).ok();
+            let mut sink = VecSink::new();
+            let outcome = ExploreSession::new(&spec)
+                .chunk_size(chunk)
+                .keep_going()
+                .checkpoint(&ckpt)
+                .sink(&mut sink)
+                .run()
+                .unwrap();
+            assert!(sink.records().is_empty());
+            let failures: Vec<CheckpointFailure> = outcome
+                .failures
+                .iter()
+                .map(|failure| CheckpointFailure {
+                    index: failure.index,
+                    label: failure.label.clone(),
+                    error: failure.error.to_string(),
+                })
+                .collect();
+            assert_eq!(failures, expected, "chunk size {chunk}");
+            let recorded: Vec<ShardCheckpoint> = shards
+                .into_iter()
+                .enumerate()
+                .map(|(shard, (start, end))| ShardCheckpoint {
+                    shard,
+                    points: end - start,
+                    hits: 0,
+                    misses: end - start,
+                    emitted: 0,
+                    failures: expected[start..end].to_vec(),
+                    cache_degraded: 0,
+                })
+                .collect();
+            assert_eq!(
+                Checkpoint::load(&ckpt).unwrap().1,
+                recorded,
+                "chunk size {chunk}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn chunked_streaming_matches_the_in_memory_path() {
         let spec = SweepSpec::new("chunked")
             .with_wavelengths(vec![1, 2])
@@ -1766,7 +1923,7 @@ mod tests {
                 let memoized = artifacts.memoized();
                 let reports: Vec<SimResult<SimulationReport>> = points
                     .par_iter()
-                    .map(|point| memoized.simulate(point))
+                    .map(|point| memoized.simulate(&point.sim_key()))
                     .collect();
                 assert!(reports.iter().all(SimResult::is_ok));
                 folds += memoized.folds();

@@ -619,6 +619,35 @@ pub struct ArchKey {
     clock_bits: u64,
 }
 
+/// Identity of a point's simulation: everything
+/// [`Simulator::simulate_memoized`](simphony::Simulator::simulate_memoized)
+/// reads of the point — its workload, its accelerator and its
+/// [`SimulationConfig`] — so two points with equal keys get bit-identical
+/// reports, and a shard simulates each distinct key once.
+///
+/// The [`SimulationConfig`] is held field by field, so a field added to it
+/// fails to compile [`SweepPoint::sim_key`] until the key holds it too. The
+/// dataflow stays in the key although no report number depends on it today.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) struct SimKey {
+    pub(crate) workload: WorkloadKey,
+    pub(crate) arch: ArchKey,
+    data_awareness: DataAwareness,
+    dataflow: DataflowStyle,
+    layout_aware: bool,
+}
+
+impl SimKey {
+    /// The simulator configuration this key names.
+    pub(crate) fn config(&self) -> SimulationConfig {
+        SimulationConfig {
+            data_awareness: self.data_awareness,
+            dataflow: self.dataflow,
+            layout_aware: self.layout_aware,
+        }
+    }
+}
+
 impl SweepPoint {
     /// The identity of this point's workload artifact (see [`WorkloadKey`]).
     pub fn workload_key(&self) -> WorkloadKey {
@@ -642,6 +671,22 @@ impl SweepPoint {
             core_width: self.core_width,
             wavelengths: self.wavelengths,
             clock_bits: self.clock_ghz.to_bits(),
+        }
+    }
+
+    /// The identity of this point's simulation (see [`SimKey`]).
+    pub(crate) fn sim_key(&self) -> SimKey {
+        let SimulationConfig {
+            data_awareness,
+            dataflow,
+            layout_aware,
+        } = self.sim_config();
+        SimKey {
+            workload: self.workload_key(),
+            arch: self.arch_key(),
+            data_awareness,
+            dataflow,
+            layout_aware,
         }
     }
 

@@ -349,9 +349,11 @@ fn worker_loop(
              \"start\":{start},\"end\":{end}}}"
         );
         // `compute-shard` is idempotent, so a broken pipe here reconnects
-        // and replays inside Client::send.
+        // and replays inside Client::send_bounded. The response is a part
+        // frame, at most one record per point and a summary; a worker that
+        // sends more lines is retired like one that sends a malformed part.
         match client
-            .send(&request)
+            .send_bounded(&request, end - start + 2)
             .map_err(ShardError::Transient)
             .and_then(|lines| parse_part(addr, shard, lines))
         {

@@ -1002,8 +1002,24 @@ impl Client {
     /// and could not be (or must not be) recovered; other errors for local
     /// I/O and handshake failures.
     pub fn send(&mut self, line: &str) -> Result<Vec<String>> {
+        self.send_bounded(line, usize::MAX)
+    }
+
+    /// [`send`](Self::send) for a response of at most `max_lines` lines,
+    /// terminal frame included: a server that has sent `max_lines` lines
+    /// with no terminal frame among them broke the protocol, and the
+    /// exchange fails without reading on. The coordinator bounds a
+    /// `compute-shard` response by its shard size this way.
+    ///
+    /// # Errors
+    ///
+    /// As [`send`](Self::send). A response that runs past `max_lines` fails
+    /// its exchange like a broken connection: an idempotent request is
+    /// replayed on the reconnect schedule, and the last failure is reported
+    /// as [`ExploreError::ConnectionLost`].
+    pub fn send_bounded(&mut self, line: &str, max_lines: usize) -> Result<Vec<String>> {
         let line = line.trim();
-        let first_try = self.exchange(line);
+        let first_try = self.exchange(line, max_lines);
         let Err(first_err) = first_try else {
             return first_try;
         };
@@ -1037,7 +1053,7 @@ impl Client {
                     continue;
                 }
             }
-            match self.exchange(line) {
+            match self.exchange(line, max_lines) {
                 Ok(lines) => return Ok(lines),
                 Err(e) => last_err = e,
             }
@@ -1049,8 +1065,8 @@ impl Client {
     }
 
     /// One request/response exchange over the current stream, with no
-    /// recovery.
-    fn exchange(&mut self, line: &str) -> Result<Vec<String>> {
+    /// recovery, reading at most `max_lines` response lines.
+    fn exchange(&mut self, line: &str, max_lines: usize) -> Result<Vec<String>> {
         let addr = &self.addr;
         write_line(&mut self.writer, line)
             .and_then(|()| self.writer.flush())
@@ -1072,6 +1088,12 @@ impl Client {
             lines.push(line);
             if terminal {
                 return Ok(lines);
+            }
+            if lines.len() >= max_lines {
+                return Err(protocol_err(
+                    addr,
+                    format!("response ran past {max_lines} lines without a terminal frame"),
+                ));
             }
         }
     }

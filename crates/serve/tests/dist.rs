@@ -1,20 +1,20 @@
 //! Distributed-sweep tests: byte-identity with the local executors at any
 //! worker count, the `compute-shard` wire framing, worker-death recovery,
 //! checkpoint resume, fatal-vs-transient fleet errors, and the client's
-//! transparent reconnect contract and line cap.
+//! transparent reconnect contract, line cap and response bound.
 
 use std::io::{BufRead, BufReader, Read as _, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use simphony_explore::{
     Checkpoint, CheckpointHeader, ExploreError, ExploreSession, JsonlSink, RecordSink, Result,
     RetryPolicy, StreamOptions, SweepRecord, SweepSpec, VecSink,
 };
-use simphony_serve::protocol::hello_frame;
+use simphony_serve::protocol::{hello_frame, part_frame};
 use simphony_serve::{
     distribute_sweep, request, Client, DistConfig, ServeConfig, Server, MAX_REQUEST_LINE_BYTES,
 };
@@ -395,42 +395,75 @@ fn usage_rejection_is_fatal_and_does_not_spin_on_redispatch() {
 /// One line past what a client reads: the line cap plus 1 MiB.
 const LONG_LINE: usize = MAX_REQUEST_LINE_BYTES + (1 << 20);
 
-/// A fake peer on loopback that sends [`LONG_LINE`] bytes with no newline:
-/// as its greeting with `long_greeting`, else after a valid hello, as its
-/// answer to every request line. A failed write ends the connection (the
-/// client hung up).
-fn flooding_peer(long_greeting: bool) -> String {
+/// What a [`flooding_peer`] sends.
+#[derive(Clone, Copy, PartialEq)]
+enum Flood {
+    /// A greeting of [`LONG_LINE`] bytes with no newline.
+    Greeting,
+    /// A valid hello, then [`LONG_LINE`] bytes with no newline as its answer
+    /// to every request line.
+    LongLine,
+    /// A valid hello, then a part frame and up to [`FLOOD_RECORDS`] short
+    /// record lines, with no terminal frame, as its answer to every request
+    /// line.
+    Records,
+}
+
+/// Record lines a [`Flood::Records`] peer sends at most: 64 MiB of 1 KiB
+/// lines, many times what loopback sockets buffer.
+const FLOOD_RECORDS: usize = 1 << 16;
+
+/// A fake peer on loopback that floods as `flood` says. A failed write ends
+/// the connection (the client hung up), and a [`Flood::Records`] peer then
+/// reports how many record lines it wrote, the whole budget if no write
+/// failed, before it closes the connection.
+fn flooding_peer(flood: Flood) -> (String, mpsc::Receiver<usize>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("fake peer binds");
     let addr = listener.local_addr().expect("fake peer addr").to_string();
+    let (written, records_written) = mpsc::channel();
     std::thread::spawn(move || {
         let block = vec![b'x'; 1 << 20];
-        let flood = |stream: &mut TcpStream| {
+        let record = format!("{{\"pad\":\"{}\"}}\n", "x".repeat(1013));
+        let flood_line = |stream: &mut TcpStream| {
             (0..LONG_LINE / block.len()).try_for_each(|_| stream.write_all(&block))
+        };
+        let flood_records = |stream: &mut TcpStream| {
+            if writeln!(stream, "{}", part_frame("{}")).is_err() {
+                return 0;
+            }
+            (0..FLOOD_RECORDS)
+                .take_while(|_| stream.write_all(record.as_bytes()).is_ok())
+                .count()
         };
         for stream in listener.incoming() {
             let Ok(mut stream) = stream else { break };
-            if long_greeting {
-                let _ = flood(&mut stream);
+            if flood == Flood::Greeting {
+                let _ = flood_line(&mut stream);
                 continue;
             }
             let mut reader = BufReader::new(stream.try_clone().expect("clones"));
             let mut line = String::new();
             let _ = writeln!(stream, "{}", hello_frame());
             while reader.read_line(&mut line).is_ok_and(|read| read > 0) {
-                if flood(&mut stream).is_err() {
+                if flood == Flood::LongLine {
+                    if flood_line(&mut stream).is_err() {
+                        break;
+                    }
+                } else {
+                    let _ = written.send(flood_records(&mut stream));
                     break;
                 }
                 line.clear();
             }
         }
     });
-    addr
+    (addr, records_written)
 }
 
 #[test]
 fn an_over_long_part_line_retires_the_worker() {
     let config = DistConfig {
-        workers: vec![flooding_peer(false)],
+        workers: vec![flooding_peer(Flood::LongLine).0],
         retry: RetryPolicy::none(),
         ..DistConfig::default()
     };
@@ -451,8 +484,41 @@ fn an_over_long_part_line_retires_the_worker() {
 }
 
 #[test]
+fn a_part_longer_than_its_shard_retires_the_worker() {
+    let (worker, records_written) = flooding_peer(Flood::Records);
+    let config = DistConfig {
+        workers: vec![worker],
+        retry: RetryPolicy::none(),
+        ..DistConfig::default()
+    };
+    let err = distribute_sweep(
+        &fleet_spec(),
+        &StreamOptions::chunked(2).keep_going(),
+        &config,
+        &mut VecSink::new(),
+        &mut |_| {},
+        None,
+    )
+    .expect_err("a worker that streams records without end cannot finish the sweep");
+    assert!(
+        matches!(err, ExploreError::ConnectionLost { .. }),
+        "expected ConnectionLost, got: {err}"
+    );
+    // A two-point shard's response holds a part frame, two records and a
+    // summary: four lines.
+    assert!(err.to_string().contains("past 4 lines"), "{err}");
+    let written = records_written
+        .recv_timeout(TIMEOUT)
+        .expect("the peer reports its record lines");
+    assert!(
+        written < FLOOD_RECORDS / 4,
+        "the peer wrote {written} of {FLOOD_RECORDS} record lines before the client hung up"
+    );
+}
+
+#[test]
 fn an_over_long_greeting_is_a_protocol_error() {
-    let err = Client::connect(&flooding_peer(true), TIMEOUT)
+    let err = Client::connect(&flooding_peer(Flood::Greeting).0, TIMEOUT)
         .err()
         .expect("an over-long greeting is refused");
     let ExploreError::Io { source, .. } = &err else {
