@@ -39,19 +39,22 @@ use crate::spec::SweepPoint;
 /// old cache entries then stop matching instead of serving stale shapes.
 const CACHE_SCHEMA_VERSION: u32 = 1;
 
-/// Stable FNV-1a 64-bit hash (not `DefaultHasher`, whose output may change
-/// across Rust releases — cache directories outlive toolchains).
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
+/// Stable FNV-1a 64-bit hash of the concatenation of `parts`, fed as one
+/// stream without joining them first (not `DefaultHasher`, whose output may
+/// change across Rust releases — cache directories outlive toolchains).
+pub(crate) fn fnv1a64(parts: &[&[u8]]) -> u64 {
     let mut hash: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100000001b3);
+    for part in parts {
+        for &b in *part {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x100000001b3);
+        }
     }
     hash
 }
 
 /// The content key of a sweep point: a hex digest of its canonical JSON form
-/// with the positional `index` zeroed out.
+/// with the positional `index` zeroed out, salted with the schema version.
 ///
 /// The point is serialized through its value tree and the `index` entry is
 /// pinned there — same bytes (and therefore the same keys as ever) as cloning
@@ -67,10 +70,8 @@ pub fn content_key(point: &SweepPoint) -> String {
         }
     }
     let json = serde_json::to_string(&value).expect("points always serialize");
-    format!(
-        "{:016x}",
-        fnv1a64(format!("v{CACHE_SCHEMA_VERSION}:{json}").as_bytes())
-    )
+    let salt = format!("v{CACHE_SCHEMA_VERSION}:");
+    format!("{:016x}", fnv1a64(&[salt.as_bytes(), json.as_bytes()]))
 }
 
 /// Hit/miss counters reported after a sweep.
@@ -106,11 +107,13 @@ pub struct BackendStats {
 /// Object-safe storage interface of the sweep result cache.
 ///
 /// A backend maps [content keys](content_key) to [`SweepRecord`]s. The
-/// executor only ever calls [`get`](Self::get), [`put`](Self::put) and
-/// [`flush`](Self::flush); the remaining methods serve tooling
-/// (`cache stats`, the daemon's `cache-stats` request). All methods take
-/// `&self` — backends are internally synchronized so one cache can be shared
-/// across executor threads.
+/// executor keys each point of a shard once, looks the shard up with
+/// [`get_batch_keyed`](Self::get_batch_keyed), stores each fresh record
+/// under the same key with [`put_serialized`](Self::put_serialized), and
+/// publishes the shard with [`flush`](Self::flush); the remaining methods
+/// serve tooling (`cache stats`, the daemon's `cache-stats` request). All
+/// methods take `&self` — backends are internally synchronized so one cache
+/// can be shared across executor threads.
 pub trait CacheBackend: Send + Sync {
     /// Looks up the record cached for `point`, if any.
     ///
@@ -118,7 +121,10 @@ pub trait CacheBackend: Send + Sync {
     /// error, so a damaged cache degrades to re-simulation. Implementations
     /// compare the stored configuration against the queried one, so a hash
     /// collision (or an entry copied under the wrong key) also degrades to a
-    /// miss instead of returning another configuration's metrics.
+    /// miss instead of returning another configuration's metrics. An entry
+    /// stored but not yet [flushed](Self::flush) is read back from the bytes
+    /// the flush will publish, so a torn write is a miss before its flush
+    /// as it is after.
     fn get(&self, point: &SweepPoint) -> Option<SweepRecord>;
 
     /// Looks up every point of a batch at once, returning **exactly one**
@@ -137,6 +143,20 @@ pub trait CacheBackend: Send + Sync {
         points.par_iter().map(|point| self.get(point)).collect()
     }
 
+    /// [`get_batch`](Self::get_batch) for points whose content keys the
+    /// caller already computed: `keys[i]` is
+    /// [`content_key`]`(points[i])`. The executor keys each point once and
+    /// stores a fresh record under the key its lookup used, so a backend
+    /// that overrides this method keys nothing itself.
+    ///
+    /// The default ignores the keys and calls
+    /// [`get_batch`](Self::get_batch), so a backend or wrapper that
+    /// overrides only `get_batch` still sees every lookup.
+    fn get_batch_keyed(&self, points: &[&SweepPoint], keys: &[String]) -> Vec<Option<SweepRecord>> {
+        let _ = keys;
+        self.get_batch(points)
+    }
+
     /// Stores the record for its point.
     ///
     /// A backend may buffer the entry until the next
@@ -150,11 +170,11 @@ pub trait CacheBackend: Send + Sync {
 
     /// Stores a record whose JSON rendering the caller already computed:
     /// `key` must be [`content_key`]`(&record.point)` and `json` must be
-    /// `serde_json::to_string(record)` — the executor's compute stage renders
-    /// both on the worker threads, so the I/O stage never pays for
-    /// serialization. The default implementation ignores the pre-rendered
-    /// form and falls back to [`put`](Self::put), so third-party backends
-    /// stay correct without opting in.
+    /// `serde_json::to_string(record)`. The executor's compute stage renders
+    /// the JSON on the worker threads and reuses the key its lookup used, so
+    /// the I/O stage neither keys nor serializes. The default implementation
+    /// ignores the pre-rendered form and falls back to [`put`](Self::put), so
+    /// third-party backends stay correct without opting in.
     ///
     /// # Errors
     ///
@@ -221,6 +241,10 @@ impl<T: CacheBackend + ?Sized> CacheBackend for Arc<T> {
 
     fn get_batch(&self, points: &[&SweepPoint]) -> Vec<Option<SweepRecord>> {
         (**self).get_batch(points)
+    }
+
+    fn get_batch_keyed(&self, points: &[&SweepPoint], keys: &[String]) -> Vec<Option<SweepRecord>> {
+        (**self).get_batch_keyed(points, keys)
     }
 
     fn put(&self, record: &SweepRecord) -> Result<()> {
@@ -290,7 +314,12 @@ fn read_entry(path: &Path, loc: EntryLoc) -> Option<PackedEntry> {
     file.seek(SeekFrom::Start(loc.offset)).ok()?;
     let mut line = vec![0u8; loc.len];
     file.read_exact(&mut line).ok()?;
-    serde_json::from_str(std::str::from_utf8(&line).ok()?).ok()
+    parse_entry(&line)
+}
+
+/// Parses one segment line; `None` when it is damaged.
+fn parse_entry(line: &[u8]) -> Option<PackedEntry> {
+    serde_json::from_str(std::str::from_utf8(line).ok()?).ok()
 }
 
 /// Names the retired layout a directory entry belongs to, if it does: a
@@ -315,8 +344,9 @@ fn retired_layout(path: &Path) -> Option<&'static str> {
 static SEGMENT_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// An entry accepted but not yet published: its key plus its fully-rendered
-/// segment line (serialization happens at `put`, on whatever thread called
-/// it — the executor's worker threads — never at `flush`).
+/// segment line (rendered when the entry is stored — for the executor, on
+/// its worker threads — never at `flush`). The line is the only copy of the
+/// record: a `get` before the flush parses it, as one after the flush does.
 #[derive(Debug)]
 struct PendingEntry {
     key: String,
@@ -343,8 +373,8 @@ struct PackedState {
     /// Entries accepted but not yet published, in arrival order, with their
     /// segment lines already rendered.
     pending: Vec<PendingEntry>,
-    /// `pending` keyed for reads, holding the latest value per key.
-    pending_map: HashMap<String, SweepRecord>,
+    /// `pending` keyed for reads: the position of the latest entry per key.
+    pending_map: HashMap<String, usize>,
     /// Published lines superseded by a later line under the same key —
     /// duplicates a compaction would drop.
     shadowed: usize,
@@ -476,26 +506,41 @@ impl PackedSegmentCache {
     fn lock(&self) -> std::sync::MutexGuard<'_, PackedState> {
         self.state.lock().expect("packed cache lock")
     }
-}
 
-impl CacheBackend for PackedSegmentCache {
-    fn get(&self, point: &SweepPoint) -> Option<SweepRecord> {
-        let key = content_key(point);
+    /// Looks `point` up under its precomputed content `key`: a pending entry
+    /// is parsed from its rendered line, a published one read from its
+    /// segment.
+    fn get_keyed(&self, point: &SweepPoint, key: &str) -> Option<SweepRecord> {
         let state = self.lock();
-        if let Some(record) = state.pending_map.get(&key) {
-            let mut record = record.clone();
-            record.point.index = point.index;
-            return (record.point == *point).then_some(record);
-        }
-        let loc = *state.index.get(&key)?;
-        let path = state.segments.get(loc.segment)?.clone();
-        drop(state);
-        let entry = read_entry(&path, loc)?;
+        let entry = match state.pending_map.get(key).copied() {
+            Some(at) => parse_entry(state.pending[at].line.as_bytes()),
+            None => {
+                let loc = *state.index.get(key)?;
+                let path = state.segments.get(loc.segment)?.clone();
+                drop(state);
+                read_entry(&path, loc)
+            }
+        }?;
         let mut record = entry.record;
         // Restore the sweep-local position; the stored one belongs to the
         // sweep that populated the cache.
         record.point.index = point.index;
         (entry.key == key && record.point == *point).then_some(record)
+    }
+}
+
+impl CacheBackend for PackedSegmentCache {
+    fn get(&self, point: &SweepPoint) -> Option<SweepRecord> {
+        self.get_keyed(point, &content_key(point))
+    }
+
+    fn get_batch_keyed(&self, points: &[&SweepPoint], keys: &[String]) -> Vec<Option<SweepRecord>> {
+        assert_eq!(points.len(), keys.len(), "one key per queried point");
+        let queries: Vec<(&SweepPoint, &String)> = points.iter().copied().zip(keys).collect();
+        queries
+            .par_iter()
+            .map(|&(point, key)| self.get_keyed(point, key))
+            .collect()
     }
 
     fn put(&self, record: &SweepRecord) -> Result<()> {
@@ -504,14 +549,15 @@ impl CacheBackend for PackedSegmentCache {
         self.put_serialized(&key, &json, record)
     }
 
-    fn put_serialized(&self, key: &str, json: &str, record: &SweepRecord) -> Result<()> {
+    fn put_serialized(&self, key: &str, json: &str, _record: &SweepRecord) -> Result<()> {
         let line = packed_line(key, json);
         let mut state = self.lock();
+        let at = state.pending.len();
         state.pending.push(PendingEntry {
             key: key.to_string(),
             line,
         });
-        state.pending_map.insert(key.to_string(), record.clone());
+        state.pending_map.insert(key.to_string(), at);
         Ok(())
     }
 
@@ -883,8 +929,52 @@ mod tests {
         // Pinned digest: changing it means every existing cache is invalidated,
         // which must be a deliberate CACHE_SCHEMA_VERSION bump instead.
         let point = SweepSpec::new("pin").expand().unwrap().remove(0);
-        assert_eq!(content_key(&point).len(), 16);
-        assert_eq!(content_key(&point), content_key(&point));
+        assert_eq!(content_key(&point), "7b4e244b57cf1c56");
+    }
+
+    #[test]
+    fn a_torn_pending_line_is_a_miss_before_and_after_its_flush() {
+        // A short write acknowledged as success: the pending line holds half
+        // the record. `get` reads pending entries from their lines, so it
+        // misses before the flush exactly as it does after.
+        let dir = scratch("torn-pending");
+        let cache = PackedSegmentCache::open(&dir).unwrap();
+        let records = sample_records(2);
+        let json = serde_json::to_string(&records[0]).unwrap();
+        let key = content_key(&records[0].point);
+        cache
+            .put_serialized(&key, &json[..json.len() / 2], &records[0])
+            .unwrap();
+        cache.put(&records[1]).unwrap();
+        assert_eq!(cache.get(&records[0].point), None, "torn, before flush");
+        assert_eq!(cache.get(&records[1].point).as_ref(), Some(&records[1]));
+        cache.flush().unwrap();
+        assert_eq!(cache.get(&records[0].point), None, "torn, after flush");
+        assert_eq!(cache.get(&records[1].point).as_ref(), Some(&records[1]));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn keyed_batches_read_pending_and_published_entries_under_the_given_keys() {
+        let records = sample_records(4);
+        let dir = scratch("keyed");
+        let cache = PackedSegmentCache::open(&dir).unwrap();
+        cache.put(&records[0]).unwrap();
+        cache.flush().unwrap();
+        cache.put(&records[1]).unwrap();
+        let points: Vec<&SweepPoint> = records.iter().map(|r| &r.point).collect();
+        let keys: Vec<String> = points.iter().map(|p| content_key(p)).collect();
+        let found = cache.get_batch_keyed(&points, &keys);
+        let expected = [Some(&records[0]), Some(&records[1]), None, None];
+        assert_eq!(
+            found.iter().map(Option::as_ref).collect::<Vec<_>>(),
+            expected
+        );
+        // A key that names another point's entry is a miss, not that entry.
+        let mut swapped = keys.clone();
+        swapped.swap(0, 1);
+        assert_eq!(cache.get_batch_keyed(&points, &swapped), vec![None; 4]);
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -41,10 +41,8 @@ pub(crate) const CHECKPOINT_VERSION: u32 = 2;
 /// the same fingerprint expand to the same points in the same order.
 pub fn spec_fingerprint(spec: &SweepSpec) -> String {
     let json = serde_json::to_string(spec).expect("specs always serialize");
-    format!(
-        "{:016x}",
-        fnv1a64(format!("ckpt-v{CHECKPOINT_VERSION}:{json}").as_bytes())
-    )
+    let salt = format!("ckpt-v{CHECKPOINT_VERSION}:");
+    format!("{:016x}", fnv1a64(&[salt.as_bytes(), json.as_bytes()]))
 }
 
 /// First line of a checkpoint file: what sweep the shard lines describe.

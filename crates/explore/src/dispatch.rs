@@ -9,8 +9,8 @@
 //! * [`compute_shard_part`] — computes one shard into a [`ComputedPart`]:
 //!   the meta line and the pre-rendered record body (the exact bytes a
 //!   [`JsonlSink`](crate::JsonlSink) would write — fresh records reuse the
-//!   JSON already rendered for their cache entry). A worker daemon streams
-//!   these bytes over its socket.
+//!   JSON the compute stage rendered). A worker daemon streams these bytes
+//!   over its socket.
 //! * [`merge_shard_source`] — the merge loop: checkpoint replay of
 //!   already-recorded shards, then one `fetch(shard)` per remaining shard,
 //!   sink emission and flush, checkpoint append (cumulative `emitted`) and
@@ -40,8 +40,8 @@ use crate::spec::SweepSpec;
 /// `body` is what follows the `part` frame of a `compute-shard` response:
 /// one compact JSON document per record, each `\n`-terminated —
 /// byte-identical to what a [`JsonlSink`](crate::JsonlSink) writes for the
-/// same records, because fresh records reuse the JSON already rendered for
-/// their cache entry.
+/// same records, because fresh records reuse the JSON the compute stage
+/// rendered.
 #[derive(Debug, Clone)]
 pub struct ComputedPart {
     /// Shard metadata with *shard-local* `emitted` (the merge loop
@@ -83,8 +83,8 @@ pub fn compute_shard_part(
             let mut body = String::new();
             let mut emitted = 0usize;
             for prepared in slots.iter().flatten() {
-                match &prepared.cache_entry {
-                    Some((_, json)) => body.push_str(json),
+                match &prepared.json {
+                    Some(json) => body.push_str(json),
                     None => body.push_str(&serde_json::to_string(&prepared.record)?),
                 }
                 body.push('\n');

@@ -11,8 +11,9 @@
 //!
 //! **What counts as an operation.** Only the *sequential* write side is
 //! counted, one shared counter across both wrappers: cache `put` /
-//! `put_serialized` / `flush`, and sink `accept` / `flush_shard` / `sync` /
-//! `finish`. Reads (`get`, `get_batch`, `len`, `stats`, `scan`) pass through
+//! `put_serialized` / `flush`, and sink `accept` (or `accept_rendered`, the
+//! same op) / `flush_shard` / `sync` / `finish`. Reads (`get`, `get_batch`,
+//! `get_batch_keyed`, `len`, `stats`, `scan`) pass through
 //! uncounted — batch lookups run on the thread pool, and counting them would
 //! make op indices racy. Because every counted call sits on the executor's
 //! single-threaded drain path, a given sweep hits a given plan's op indices
@@ -286,6 +287,10 @@ impl CacheBackend for FaultyCache<'_> {
         self.inner.get_batch(points)
     }
 
+    fn get_batch_keyed(&self, points: &[&SweepPoint], keys: &[String]) -> Vec<Option<SweepRecord>> {
+        self.inner.get_batch_keyed(points, keys)
+    }
+
     fn put(&self, record: &SweepRecord) -> Result<()> {
         match self.injector.next("cache put", true)? {
             Injected::None => self.inner.put(record),
@@ -349,6 +354,11 @@ impl<R> RecordSink<R> for FaultySink<'_, R> {
     fn accept(&mut self, record: R) -> Result<()> {
         self.injector.next("sink accept", false)?;
         self.inner.accept(record)
+    }
+
+    fn accept_rendered(&mut self, record: R, json: &str) -> Result<()> {
+        self.injector.next("sink accept", false)?;
+        self.inner.accept_rendered(record, json)
     }
 
     fn flush_shard(&mut self) -> Result<()> {

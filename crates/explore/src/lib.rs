@@ -26,8 +26,9 @@
 //!   re-attempting recorded failures;
 //! * [`PackedSegmentCache`] — the content-hash result cache: append-only
 //!   segment files plus an in-memory index, behind the [`CacheBackend`]
-//!   trait; batch lookups run in parallel ([`CacheBackend::get_batch`]) and
-//!   fresh records are stored from their pre-rendered JSON
+//!   trait; each point is keyed once, batch lookups run in parallel under
+//!   those keys ([`CacheBackend::get_batch_keyed`]), and fresh records are
+//!   stored under the same keys from their pre-rendered JSON
 //!   ([`CacheBackend::put_serialized`]);
 //! * [`pareto_front`] — non-dominated-point extraction over configurable
 //!   minimization [`Objective`]s, generic over any [`ParetoRecord`] type

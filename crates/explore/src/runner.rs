@@ -5,9 +5,11 @@
 //! is ever materialized), in configurable shards. Each shard runs through two
 //! stages:
 //!
-//! * the **compute stage** expands the shard's points, looks the whole batch
-//!   up in the result cache at once ([`CacheBackend::get_batch`], parallel by
-//!   default), groups the misses by their *artifact identities*
+//! * the **compute stage** expands the shard's points, keys each one once
+//!   when a cache is attached ([`content_key`]) and looks the whole batch up
+//!   in the result cache at once under those keys
+//!   ([`CacheBackend::get_batch_keyed`], parallel), groups the misses by
+//!   their *artifact identities*
 //!   ([`SweepPoint::workload_key`] and [`SweepPoint::arch_key`]), extracts
 //!   each distinct workload and generates each distinct accelerator once
 //!   (reusing `Arc`s still live from the previous shard), simulates the
@@ -20,11 +22,13 @@
 //!   among the misses once (`SimKey`: the workload and accelerator keys plus
 //!   the simulation config; data-unaware points that differ only in sparsity
 //!   share one report, and each builds its own record from it), and renders
-//!   each fresh record's cache entry to JSON *on the worker threads*;
+//!   each fresh record to compact JSON once, *on the worker threads*;
 //! * the **I/O stage** persists the completed shard with the durability
 //!   contract intact — cache writes, sink emission (in deterministic
 //!   expansion order), cache flush and sink flush, then the checkpoint
-//!   append.
+//!   append. It keys and renders nothing: a fresh record's cache entry
+//!   reuses its lookup's key and its JSON, and a sink that writes the
+//!   compact line ([`RecordSink::accept_rendered`]) writes that same JSON.
 //!
 //! The calling thread computes every shard, and every shard but the final
 //! one flows through a bounded single-slot channel to a scoped writer
@@ -827,13 +831,15 @@ fn point_record(
     }
 }
 
-/// A record ready for the I/O stage. Fresh simulations carry their cache
-/// entry pre-rendered (content key + compact JSON) so the writer thread
-/// stores bytes instead of serializing; cache hits carry nothing — they are
-/// already durable.
+/// A record ready for the I/O stage. A fresh simulation carries its compact
+/// JSON, rendered on the compute threads, and — when a cache is attached —
+/// the content key its lookup used, so the writer thread stores and writes
+/// bytes instead of keying or serializing. A cache hit carries neither: it
+/// is already durable.
 pub(crate) struct PreparedRecord {
     pub(crate) record: SweepRecord,
-    pub(crate) cache_entry: Option<(String, String)>,
+    pub(crate) json: Option<String>,
+    pub(crate) key: Option<String>,
 }
 
 /// One shard's compute-stage output: everything the I/O stage needs to
@@ -863,7 +869,8 @@ impl ComputedShard {
             .map(|record| {
                 Some(PreparedRecord {
                     record,
-                    cache_entry: None,
+                    json: None,
+                    key: None,
                 })
             })
             .collect();
@@ -889,9 +896,9 @@ fn recorded_failures(failures: &[CheckpointFailure]) -> impl Iterator<Item = Poi
     })
 }
 
-/// Runs one shard's compute stage: point expansion, batched (parallel) cache
-/// lookups, artifact construction, parallel simulation, and record/cache-entry
-/// serialization — everything up to, but not including, durability I/O.
+/// Runs one shard's compute stage: point expansion, keying and batched
+/// (parallel) cache lookups, artifact construction, parallel simulation, and
+/// record rendering — everything up to, but not including, durability I/O.
 /// `artifacts` is the resident store live artifacts flow through across shard
 /// (and sweep) boundaries. The shard's points and threads share one weight
 /// power memo per workload and one compiled simulator per accelerator
@@ -899,6 +906,13 @@ fn recorded_failures(failures: &[CheckpointFailure]) -> impl Iterator<Item = Poi
 /// data-aware weight power once per weight power model and compiles each
 /// accelerator once; the memos and the compiled simulators are dropped with
 /// the shard.
+///
+/// Each point is keyed once ([`content_key`]), and only when a cache is
+/// attached: the lookup ([`CacheBackend::get_batch_keyed`]) and a fresh
+/// record's cache entry share that key. Each fresh record is rendered to
+/// compact JSON once, on the worker threads, whether or not a cache is
+/// attached; the cache entry, every sink that writes the line
+/// ([`RecordSink::accept_rendered`]) and a worker's part body all reuse it.
 ///
 /// The shard also simulates each distinct [`SimKey`] among its misses once:
 /// data-unaware points that differ only in sparsity (or seed) share one
@@ -921,26 +935,27 @@ pub(crate) fn compute_shard(
         (start..end).map(|i| Some(spec.point_at(i))).collect();
 
     // Serve cache hits first; only misses go to the artifact store and the
-    // thread pool. The whole shard is looked up as one (parallel) batch.
-    // Points sit in `Option` slots so a missed point can later be *moved*
-    // into its record instead of cloned.
-    let lookups: Vec<Option<SweepRecord>> = match cache {
+    // thread pool. The whole shard is keyed and looked up as one (parallel)
+    // batch. Points and keys sit in `Option` slots so a missed point and
+    // its key can later be *moved* into its record instead of cloned.
+    let (lookups, mut keys): (Vec<Option<SweepRecord>>, Vec<Option<String>>) = match cache {
         Some(cache) => {
             let queried: Vec<&SweepPoint> = points
                 .iter()
                 .map(|p| p.as_ref().expect("all points present before execution"))
                 .collect();
-            let lookups = cache.get_batch(&queried);
+            let keys: Vec<String> = queried.par_iter().map(|p| content_key(p)).collect();
+            let lookups = cache.get_batch_keyed(&queried, &keys);
             // An out-of-contract override returning the wrong arity would
             // otherwise silently drop trailing points from the sweep.
             assert_eq!(
                 lookups.len(),
                 shard_points,
-                "CacheBackend::get_batch must return one slot per queried point"
+                "CacheBackend::get_batch_keyed must return one slot per queried point"
             );
-            lookups
+            (lookups, keys.into_iter().map(Some).collect())
         }
-        None => (0..shard_points).map(|_| None).collect(),
+        None => (vec![None; shard_points], vec![None; shard_points]),
     };
     let mut slots: Vec<Option<PreparedRecord>> = Vec::with_capacity(shard_points);
     let mut miss_indices: Vec<usize> = Vec::new();
@@ -948,7 +963,8 @@ pub(crate) fn compute_shard(
         match lookup {
             Some(record) => slots.push(Some(PreparedRecord {
                 record,
-                cache_entry: None,
+                json: None,
+                key: None,
             })),
             None => {
                 slots.push(None);
@@ -977,23 +993,26 @@ pub(crate) fn compute_shard(
         ));
     }
 
-    // Missed points move out of their slots and into the worker threads,
-    // which simulate, build the record around the point, and render the cache
-    // entry — JSON encoding happens here, in parallel, never in the I/O
-    // stage.
-    let missed: Vec<SweepPoint> = miss_indices
+    // Missed points and their keys move out of their slots and into the
+    // worker threads, which simulate, build the record around the point,
+    // and render its JSON — encoding happens here, in parallel, never in
+    // the I/O stage.
+    let missed: Vec<(SweepPoint, Option<String>)> = miss_indices
         .iter()
-        .map(|&slot| points[slot].take().expect("miss slot holds its point"))
+        .map(|&slot| {
+            let point = points[slot].take().expect("miss slot holds its point");
+            (point, keys[slot].take())
+        })
         .collect();
     let shard_artifacts = {
-        let missed_refs: Vec<&SweepPoint> = missed.iter().collect();
+        let missed_refs: Vec<&SweepPoint> = missed.iter().map(|(point, _)| point).collect();
         ShardArtifacts::build(&missed_refs, artifacts)
     };
     let memoized = shard_artifacts.memoized();
     // Keys that repeat among the misses get a shared slot; a key seen once
     // simulates on its own, as if nothing were shared.
     let mut members: HashMap<SimKey, usize> = HashMap::with_capacity(missed.len());
-    for point in &missed {
+    for (point, _) in &missed {
         *members.entry(point.sim_key()).or_default() += 1;
     }
     let shared: HashMap<SimKey, SharedSimulation> = members
@@ -1004,7 +1023,7 @@ pub(crate) fn compute_shard(
     type PointResult = std::result::Result<PreparedRecord, PointFailure>;
     let computed: Vec<Result<PointResult>> = missed
         .into_par_iter()
-        .map(|point| {
+        .map(|(point, key)| {
             let sim_key = point.sim_key();
             let record = match shared.get(&sim_key) {
                 Some(group) => group.read(
@@ -1015,11 +1034,11 @@ pub(crate) fn compute_shard(
             };
             match record {
                 Ok(record) => {
-                    let key = content_key(&record.point);
                     let json = serde_json::to_string(&record)?;
                     Ok(Ok(PreparedRecord {
                         record,
-                        cache_entry: Some((key, json)),
+                        json: Some(json),
+                        key,
                     }))
                 }
                 Err(failure) => Ok(Err(failure)),
@@ -1057,9 +1076,10 @@ pub(crate) fn compute_shard(
 }
 
 /// Writes a shard's fresh records through `cache` around `emit`: every
-/// pre-rendered cache entry is stored first, then `emit` consumes the
-/// shard's slots, then the cache is flushed. Each cache write runs under
-/// `retry`. One that still fails is skipped and counted under
+/// fresh record is stored first, under the key its lookup used and from the
+/// JSON the compute stage rendered, then `emit` consumes the shard's slots,
+/// then the cache is flushed. Each cache write runs under `retry`. One that
+/// still fails is skipped and counted under
 /// [`ErrorPolicy::KeepGoing`] — the record still reaches `emit`, and a
 /// re-run re-simulates its point — and is the error under fail-fast.
 /// Returns what `emit` returned and the number of skipped writes. The local
@@ -1085,7 +1105,7 @@ pub(crate) fn write_through<T>(
     };
     if let Some(cache) = cache {
         for prepared in slots.iter().flatten() {
-            if let Some((key, json)) = &prepared.cache_entry {
+            if let (Some(key), Some(json)) = (&prepared.key, &prepared.json) {
                 degrade(retry.run(|| cache.put_serialized(key, json, &prepared.record)))?;
             }
         }
@@ -1125,10 +1145,10 @@ struct Persisted {
 impl IoStage<'_> {
     /// Runs one shard's I/O stage with the durability contract intact: cache
     /// writes (pre-rendered bytes), sink emission in expansion order (failed
-    /// points simply have no record), cache flush, sink flush — plus an
-    /// fsync when a checkpoint will vouch for the shard — then the
-    /// checkpoint append, in that order, so a checkpointed shard is always
-    /// fully recoverable.
+    /// points simply have no record; fresh ones arrive with their rendered
+    /// JSON), cache flush, sink flush — plus an fsync when a checkpoint will
+    /// vouch for the shard — then the checkpoint append, in that order, so a
+    /// checkpointed shard is always fully recoverable.
     ///
     /// Cache writes may degrade under keep-going ([`write_through`]); the
     /// skips, counting those the shard's producer already made, are ledgered
@@ -1148,7 +1168,10 @@ impl IoStage<'_> {
             write_through(self.cache, slots, self.policy, self.retry, |slots| {
                 let mut emitted = 0usize;
                 for prepared in slots.into_iter().flatten() {
-                    sink.accept(prepared.record)?;
+                    match prepared.json {
+                        Some(json) => sink.accept_rendered(prepared.record, &json)?,
+                        None => sink.accept(prepared.record)?,
+                    }
                     emitted += 1;
                 }
                 Ok(emitted)

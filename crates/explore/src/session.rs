@@ -333,6 +333,13 @@ impl RecordSink for CollectTee<'_, '_> {
         self.primary.accept(record)
     }
 
+    fn accept_rendered(&mut self, record: crate::record::SweepRecord, json: &str) -> Result<()> {
+        if let Some(sink) = self.secondary.as_deref_mut() {
+            sink.accept_rendered(record.clone(), json)?;
+        }
+        self.primary.accept(record)
+    }
+
     fn flush_shard(&mut self) -> Result<()> {
         if let Some(sink) = self.secondary.as_deref_mut() {
             sink.flush_shard()?;

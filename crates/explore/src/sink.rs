@@ -36,11 +36,15 @@ use crate::record::{CsvRecord, SweepRecord};
 
 /// Receives completed records in deterministic expansion order.
 ///
-/// The executor calls [`accept`](Self::accept) once per completed point (in
+/// The executor calls [`accept`](Self::accept) or
+/// [`accept_rendered`](Self::accept_rendered) once per completed point (in
 /// the spec's expansion order, skipping failed points under
 /// [`ErrorPolicy::KeepGoing`](crate::ErrorPolicy::KeepGoing)),
 /// [`flush_shard`](Self::flush_shard) after each shard, and
-/// [`finish`](Self::finish) exactly once after the last shard.
+/// [`finish`](Self::finish) exactly once after the last shard. A freshly
+/// simulated record comes through `accept_rendered` with the compact JSON
+/// the compute stage rendered for it; a cache hit, or a record merged from
+/// a worker's part, comes through `accept`.
 ///
 /// The trait is generic over the record type so the same file sinks stream
 /// sweep records and `simphony-traffic` serving records alike; the default
@@ -61,6 +65,21 @@ pub trait RecordSink<R = SweepRecord>: Send {
     /// Propagates serialization and I/O errors; an erroring sink aborts the
     /// sweep.
     fn accept(&mut self, record: R) -> Result<()>;
+
+    /// Accepts the next completed record together with its compact JSON,
+    /// `json == serde_json::to_string(&record)`, rendered once on the
+    /// executor's compute threads. A sink that writes that line writes
+    /// `json` instead of rendering the record again. The default ignores
+    /// `json` and calls [`accept`](Self::accept), so typed sinks need not
+    /// override it.
+    ///
+    /// # Errors
+    ///
+    /// As [`accept`](Self::accept).
+    fn accept_rendered(&mut self, record: R, json: &str) -> Result<()> {
+        let _ = json;
+        self.accept(record)
+    }
 
     /// Called after each shard completes; durable sinks flush buffered output
     /// to disk here so interrupted sweeps leave a readable prefix.
@@ -251,7 +270,9 @@ impl<R> Drop for JsonFileSink<R> {
 
 /// Append-friendly JSON Lines sink: one compact record per line, flushed at
 /// every shard boundary so each flushed line is final and the file is always
-/// a valid prefix of the full output.
+/// a valid prefix of the full output. A record that arrives with its JSON
+/// ([`accept_rendered`](RecordSink::accept_rendered)) is written as given,
+/// not rendered again.
 #[derive(Debug)]
 pub struct JsonlSink<R = SweepRecord> {
     path: PathBuf,
@@ -299,10 +320,14 @@ impl<R> JsonlSink<R> {
 
 impl<R: Serialize> RecordSink<R> for JsonlSink<R> {
     fn accept(&mut self, record: R) -> Result<()> {
-        let mut line = serde_json::to_string(&record)?;
-        line.push('\n');
+        let json = serde_json::to_string(&record)?;
+        self.accept_rendered(record, &json)
+    }
+
+    fn accept_rendered(&mut self, _record: R, json: &str) -> Result<()> {
         self.writer
-            .write_all(line.as_bytes())
+            .write_all(json.as_bytes())
+            .and_then(|()| self.writer.write_all(b"\n"))
             .map_err(|e| io_err(&self.path, e))
     }
 
@@ -428,6 +453,16 @@ impl<R: Clone> RecordSink<R> for MultiSink<R> {
                 sink.accept(record.clone())?;
             }
             last.accept(record)?;
+        }
+        Ok(())
+    }
+
+    fn accept_rendered(&mut self, record: R, json: &str) -> Result<()> {
+        if let Some((last, rest)) = self.sinks.split_last_mut() {
+            for sink in rest {
+                sink.accept_rendered(record.clone(), json)?;
+            }
+            last.accept_rendered(record, json)?;
         }
         Ok(())
     }

@@ -26,7 +26,12 @@
 //! weight device, the PCM crossbar's static power and SCATTER's measured
 //! lookup table.
 
-use simphony_explore::{ExploreSession, SweepSpec};
+use std::path::Path;
+
+use simphony_explore::{
+    CacheBackend, ExploreSession, JsonlSink, PackedSegmentCache, RecordSink, Result, SweepRecord,
+    SweepSpec,
+};
 
 const GOLDEN_SPEC: &str = include_str!("golden/mixed_axis_spec.json");
 const GOLDEN_RECORDS: &str = include_str!("golden/mixed_axis_records.json");
@@ -118,4 +123,109 @@ fn every_family_matches_its_golden_bytes_across_shards() {
             "records diverged from the families golden bytes at chunk size {chunk}"
         );
     }
+}
+
+/// A `JsonlSink` that notes how each record arrived: through
+/// `accept_rendered` with its own compact JSON (checked here), or through
+/// `accept`.
+struct ArrivalSink {
+    inner: JsonlSink,
+    /// `true` for each record that arrived rendered, in arrival order.
+    rendered: Vec<bool>,
+}
+
+impl RecordSink for ArrivalSink {
+    fn accept(&mut self, record: SweepRecord) -> Result<()> {
+        self.rendered.push(false);
+        self.inner.accept(record)
+    }
+
+    fn accept_rendered(&mut self, record: SweepRecord, json: &str) -> Result<()> {
+        let own = serde_json::to_string(&record).expect("record serializes");
+        assert_eq!(
+            json, own,
+            "record {} arrived with other JSON",
+            record.point.index
+        );
+        self.rendered.push(true);
+        self.inner.accept_rendered(record, json)
+    }
+
+    fn flush_shard(&mut self) -> Result<()> {
+        self.inner.flush_shard()
+    }
+
+    fn finish(&mut self) -> Result<()> {
+        self.inner.finish()
+    }
+}
+
+/// Runs `spec` at `chunk` over the packed cache in `cache_dir` into the
+/// JSONL file `out`; returns the file's bytes, the session's cache hits and
+/// how each record arrived at the sink.
+fn jsonl_through_cache(
+    spec: &SweepSpec,
+    chunk: usize,
+    cache_dir: &Path,
+    out: &Path,
+) -> (String, usize, Vec<bool>) {
+    let mut sink = ArrivalSink {
+        inner: JsonlSink::create(out).expect("output opens"),
+        rendered: Vec::new(),
+    };
+    let outcome = ExploreSession::new(spec)
+        .cache(PackedSegmentCache::open(cache_dir).expect("cache opens"))
+        .chunk_size(chunk)
+        .sink(&mut sink)
+        .run()
+        .expect("sweep runs");
+    let bytes = std::fs::read_to_string(out).expect("output reads");
+    (bytes, outcome.stats.hits, sink.rendered)
+}
+
+#[test]
+fn jsonl_through_the_cache_matches_the_golden_bytes_cold_warm_and_half_warm() {
+    // The sink writes the JSON the compute stage rendered for each fresh
+    // record, and the cache stores it under the key the lookup used. Hit
+    // counts pin the keys: a key mix-up turns hits into misses, which the
+    // bytes alone would not show.
+    let spec: SweepSpec = serde_json::from_str(AWARENESS_SPEC).expect("awareness spec parses");
+    let golden: Vec<SweepRecord> = AWARENESS_RECORDS
+        .lines()
+        .map(|line| serde_json::from_str(line).expect("golden line parses"))
+        .collect();
+    let total = golden.len();
+    let root = std::env::temp_dir().join(format!("simphony-golden-cache-{}", std::process::id()));
+    for chunk in [0, 1, 6] {
+        let dir = root.join(format!("chunk-{chunk}"));
+        std::fs::create_dir_all(&dir).expect("scratch directory");
+        let cache = dir.join("cache");
+        let (cold, hits, rendered) =
+            jsonl_through_cache(&spec, chunk, &cache, &dir.join("cold.jsonl"));
+        assert_eq!(cold, AWARENESS_RECORDS, "cold, chunk size {chunk}");
+        assert_eq!(hits, 0, "cold, chunk size {chunk}");
+        assert_eq!(rendered, vec![true; total], "cold, chunk size {chunk}");
+        let (warm, hits, rendered) =
+            jsonl_through_cache(&spec, chunk, &cache, &dir.join("warm.jsonl"));
+        assert_eq!(warm, AWARENESS_RECORDS, "warm, chunk size {chunk}");
+        assert_eq!(hits, total, "warm, chunk size {chunk}");
+        assert_eq!(rendered, vec![false; total], "warm, chunk size {chunk}");
+        // Half-warm: every other point stored first, so shards mix hits and
+        // misses.
+        let half = dir.join("half-cache");
+        {
+            let cache = PackedSegmentCache::open(&half).expect("cache opens");
+            for record in golden.iter().step_by(2) {
+                cache.put(record).expect("record stores");
+            }
+            cache.flush().expect("cache flushes");
+        }
+        let (mixed, hits, rendered) =
+            jsonl_through_cache(&spec, chunk, &half, &dir.join("half.jsonl"));
+        assert_eq!(mixed, AWARENESS_RECORDS, "half-warm, chunk size {chunk}");
+        assert_eq!(hits, total / 2, "half-warm, chunk size {chunk}");
+        let misses: Vec<bool> = (0..total).map(|i| i % 2 == 1).collect();
+        assert_eq!(rendered, misses, "half-warm, chunk size {chunk}");
+    }
+    std::fs::remove_dir_all(&root).ok();
 }

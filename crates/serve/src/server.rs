@@ -557,7 +557,8 @@ fn run_request(
 
 /// Streams records to the client exactly as [`JsonlSink`] writes them to
 /// disk (`serde_json::to_string` + `'\n'`, flushed per shard), so daemon
-/// responses are byte-identical to `sweep --jsonl` output.
+/// responses are byte-identical to `sweep --jsonl` output. A fresh record's
+/// line is the JSON the compute stage rendered, written as given.
 ///
 /// [`JsonlSink`]: simphony_explore::JsonlSink
 struct FrameSink<'a, W: Write + Send> {
@@ -566,9 +567,13 @@ struct FrameSink<'a, W: Write + Send> {
 
 impl<W: Write + Send, R: serde::Serialize> RecordSink<R> for FrameSink<'_, W> {
     fn accept(&mut self, record: R) -> Result<()> {
-        let line = serde_json::to_string(&record)?;
+        let json = serde_json::to_string(&record)?;
+        self.accept_rendered(record, &json)
+    }
+
+    fn accept_rendered(&mut self, _record: R, json: &str) -> Result<()> {
         self.out
-            .write_all(line.as_bytes())
+            .write_all(json.as_bytes())
             .and_then(|()| self.out.write_all(b"\n"))
             .map_err(|e| ExploreError::io_at("client socket", e))
     }
