@@ -111,10 +111,9 @@ pub use record::{
 };
 pub use retry::RetryPolicy;
 pub use runner::{
-    build_accelerator, effective_shard_size, extract_workload, simulate_point,
-    simulate_point_shared, simulate_point_with, ArtifactBudget, ArtifactStore, ArtifactStoreStats,
-    ErrorPolicy, FailureCause, PointFailure, ShardProgress, SharedArtifactStore, StreamOptions,
-    StreamOutcome, SweepOutcome,
+    build_accelerator, effective_shard_size, extract_workload, simulate_point, simulate_point_with,
+    simulate_points, ArtifactBudget, ArtifactStore, ArtifactStoreStats, ErrorPolicy, FailureCause,
+    PointFailure, ShardProgress, SharedArtifactStore, StreamOptions, StreamOutcome, SweepOutcome,
 };
 pub use session::ExploreSession;
 pub use sink::{CsvSink, JsonFileSink, JsonlSink, MultiSink, RecordSink, VecSink};

@@ -8,21 +8,23 @@
 //! * the **compute stage** expands the shard's points, keys each one once
 //!   when a cache is attached ([`content_key`]) and looks the whole batch up
 //!   in the result cache at once under those keys
-//!   ([`CacheBackend::get_batch_keyed`], parallel), groups the misses by
-//!   their *artifact identities*
+//!   ([`CacheBackend::get_batch_keyed`], parallel), then simulates the
+//!   misses through [`simulate_points`], the one simulation path the
+//!   daemon's `run` and the serving simulator's probe grid take too: it
+//!   groups the misses by their *artifact identities*
 //!   ([`SweepPoint::workload_key`] and [`SweepPoint::arch_key`]), extracts
 //!   each distinct workload and generates each distinct accelerator once
-//!   (reusing `Arc`s still live from the previous shard), simulates the
-//!   misses on a rayon-style thread pool with one weight power memo per
-//!   workload (each layer's data-aware weight power is folded once per
-//!   weight power model in the shard) and one compiled simulator per
-//!   accelerator (its instance counts, link budgets, energy tables and area
-//!   reports are computed once in the shard, and every point runs on a
-//!   re-configured clone), simulates each distinct simulation identity
-//!   among the misses once (`SimKey`: the workload and accelerator keys plus
-//!   the simulation config; data-unaware points that differ only in sparsity
-//!   share one report, and each builds its own record from it), and renders
-//!   each fresh record to compact JSON once, *on the worker threads*;
+//!   (reusing `Arc`s still live from the previous shard), simulates on a
+//!   rayon-style thread pool with one weight power memo per workload (each
+//!   layer's data-aware weight power is folded once per weight power model
+//!   in the shard) and one compiled simulator per accelerator (its instance
+//!   counts, link budgets, energy tables and area reports are computed once
+//!   in the shard, and every point runs on a re-configured clone), and
+//!   simulates each distinct simulation identity among the misses once
+//!   (`SimKey`: the workload and accelerator keys plus the simulation
+//!   config; data-unaware points that differ only in sparsity share one
+//!   report, and each builds its own record from it). Each fresh record is
+//!   rendered to compact JSON once, *on the worker threads*;
 //! * the **I/O stage** persists the completed shard with the durability
 //!   contract intact — cache writes, sink emission (in deterministic
 //!   expansion order), cache flush and sink flush, then the checkpoint
@@ -253,12 +255,13 @@ pub struct StreamOutcome {
     pub cache_degraded: usize,
 }
 
-/// Builds the accelerator a sweep point describes.
+/// Builds the accelerator a sweep point describes: the first step of the
+/// cold [`simulate_point`], and how [`simulate_points`] builds each distinct
+/// accelerator its store lacks.
 ///
-/// Public so downstream crates (the `simphony-traffic` serving simulator)
-/// can build one accelerator per fleet template and share it behind an `Arc`
-/// across service-table probes, exactly as the streaming executor shares
-/// artifacts within a shard.
+/// Public so a stage-by-stage replay (perfbench's traced mode) can time
+/// artifact construction apart from simulation; programs simulate through
+/// [`simulate_points`].
 ///
 /// # Errors
 ///
@@ -275,7 +278,7 @@ pub fn build_accelerator(point: &SweepPoint) -> SimResult<Accelerator> {
 /// reads no weight value. Either way it is the artifact
 /// [`SweepPoint::workload_key`] names.
 ///
-/// Public for the same artifact-sharing reason as [`build_accelerator`].
+/// Public for the same stage-by-stage replay as [`build_accelerator`].
 ///
 /// # Errors
 ///
@@ -287,9 +290,9 @@ pub fn extract_workload(point: &SweepPoint) -> SimResult<ModelWorkload> {
 /// Simulates one fully-bound configuration, extracting its artifacts from
 /// scratch.
 ///
-/// This is the sharing-free path (the streaming executor amortizes artifacts
-/// across a shard instead); it exists for single-point callers like
-/// `simphony-cli run` and produces bit-identical reports to the shared path.
+/// This is the sharing-free path and the oracle of the shared one:
+/// [`simulate_points`] amortizes artifacts across its points instead and
+/// produces bit-identical reports. `simphony-cli run` simulates here.
 ///
 /// # Errors
 ///
@@ -303,12 +306,11 @@ pub fn simulate_point(point: &SweepPoint) -> SimResult<SimulationReport> {
 
 /// Simulates a point against pre-built (possibly shared) artifacts.
 ///
-/// Produces bit-identical reports to [`simulate_point`]; public so callers
-/// probing many configurations against one accelerator (the serving
-/// simulator's service tables) pay artifact construction once. Each call
-/// compiles the accelerator for its one simulation and folds the weight
-/// power through a fresh memo; a sweep shard compiles and folds once for
-/// all of its points instead.
+/// Produces bit-identical reports to [`simulate_point`]. Each call compiles
+/// the accelerator for its one simulation and folds the weight power through
+/// a fresh memo; [`simulate_points`] compiles and folds once for all of its
+/// points instead. Public for the same stage-by-stage replay as
+/// [`build_accelerator`].
 ///
 /// # Errors
 ///
@@ -755,79 +757,85 @@ impl MemoizedShard<'_> {
     }
 }
 
-/// Simulates one fully-bound configuration through a resident
-/// [`ArtifactStore`]: artifacts already resident are reused (and
-/// LRU-touched); anything missing is built and published back. Produces
-/// bit-identical reports to [`simulate_point`] — artifact construction is a
-/// pure function of the point's keys — while a warm store skips it entirely.
+/// Simulates `points` through a resident [`ArtifactStore`] and hands each
+/// point, with its simulation's outcome, to `each`; returns what `each`
+/// returned, in input order. Sweep shards, the daemon's `run` and the
+/// serving simulator's probe grid all simulate here.
 ///
-/// # Errors
+/// The points' distinct artifacts are looked up in `store`, built when
+/// missing and published back: each distinct workload is extracted, and
+/// each distinct accelerator generated, at most once. The points share one weight power memo per workload and
+/// one compiled simulator per accelerator, so each layer's data-aware weight
+/// power is folded once per weight power model and each accelerator
+/// compiled once. Points with equal simulation identities (`SimKey`: the
+/// workload and accelerator keys plus the simulation config) form a group
+/// that simulates once: data-unaware points that differ only in sparsity or
+/// seed share one report. Groups run in order of first appearance on the
+/// thread pool, every member of a group gets the same outcome, and the
+/// report is dropped when its group ends. A panic in a simulation or in
+/// `each` reaches the caller with its payload.
 ///
-/// Propagates architecture-generation, workload-extraction and simulation
-/// errors.
-pub fn simulate_point_shared(
+/// Reports are bit-identical to [`simulate_point`]'s: artifact construction
+/// is a pure function of the keys, and a simulation of the key alone.
+pub fn simulate_points<T: Send>(
     store: &std::sync::Mutex<ArtifactStore>,
-    point: &SweepPoint,
-) -> SimResult<SimulationReport> {
-    ShardArtifacts::build(&[point], store)
-        .memoized()
-        .simulate(&point.sim_key())
-}
-
-/// A simulation that several missed points of one shard share, because
-/// their [`SimKey`]s are equal: the first member to arrive runs it while the
-/// others wait, every member builds its record from the one report, and the
-/// last member drops it, so a report lives only while its group has points
-/// left.
-struct SharedSimulation {
-    /// The simulation's outcome once run, and how many members have yet to
-    /// read it.
-    slot: std::sync::Mutex<(Option<SimResult<SimulationReport>>, usize)>,
-}
-
-impl SharedSimulation {
-    fn new(members: usize) -> Self {
-        Self {
-            slot: std::sync::Mutex::new((None, members)),
-        }
+    points: Vec<SweepPoint>,
+    each: impl Fn(SweepPoint, &SimResult<SimulationReport>) -> T + Sync,
+) -> Vec<T> {
+    let total = points.len();
+    let artifacts = ShardArtifacts::build(&points.iter().collect::<Vec<_>>(), store);
+    let memoized = artifacts.memoized();
+    let mut groups: Vec<(SimKey, Vec<(usize, SweepPoint)>)> = Vec::new();
+    let mut group_of: HashMap<SimKey, usize> = HashMap::with_capacity(total);
+    for (slot, point) in points.into_iter().enumerate() {
+        let group = *group_of.entry(point.sim_key()).or_insert_with_key(|key| {
+            groups.push((key.clone(), Vec::new()));
+            groups.len() - 1
+        });
+        groups[group].1.push((slot, point));
     }
-
-    /// Hands the group's outcome to `read`, simulating first if no member
-    /// has yet. A simulation that panicked poisons the lock with the slot
-    /// still empty; the lock is recovered, so the next member simulates
-    /// again and the panic that reaches the caller is a simulation's own.
-    fn read<T>(
-        &self,
-        simulate: impl FnOnce() -> SimResult<SimulationReport>,
-        read: impl FnOnce(&SimResult<SimulationReport>) -> T,
-    ) -> T {
-        let mut slot = self
-            .slot
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let (outcome, unread) = &mut *slot;
-        let value = read(outcome.get_or_insert_with(simulate));
-        *unread -= 1;
-        if *unread == 0 {
-            *outcome = None;
-        }
-        value
+    let answered: Vec<Vec<(usize, T)>> = groups
+        .into_par_iter()
+        .map(|(key, members)| {
+            let simulated = memoized.simulate(&key);
+            members
+                .into_iter()
+                .map(|(slot, point)| (slot, each(point, &simulated)))
+                .collect()
+        })
+        .collect();
+    let mut answers: Vec<Option<T>> = (0..total).map(|_| None).collect();
+    for (slot, answer) in answered.into_iter().flatten() {
+        answers[slot] = Some(answer);
     }
+    answers
+        .into_iter()
+        .map(|answer| answer.expect("every point is a member of one group"))
+        .collect()
 }
 
-/// The record of `point` from its simulation's outcome, or its failure under
-/// its own index and label.
-fn point_record(
+/// A missed point's record, built from its simulation's outcome and
+/// rendered to compact JSON, or its failure under its own index and label.
+/// Its cache key joins it later, from its slot.
+fn prepare_record(
     point: SweepPoint,
     simulated: &SimResult<SimulationReport>,
-) -> std::result::Result<SweepRecord, PointFailure> {
+) -> Result<std::result::Result<PreparedRecord, PointFailure>> {
     match simulated {
-        Ok(report) => Ok(SweepRecord::from_report(point, report)),
-        Err(error) => Err(PointFailure {
+        Ok(report) => {
+            let record = SweepRecord::from_report(point, report);
+            let json = serde_json::to_string(&record)?;
+            Ok(Ok(PreparedRecord {
+                record,
+                json: Some(json),
+                key: None,
+            }))
+        }
+        Err(error) => Ok(Err(PointFailure {
             index: point.index,
             label: point.label(),
             error: FailureCause::Sim(error.clone()),
-        }),
+        })),
     }
 }
 
@@ -897,31 +905,28 @@ fn recorded_failures(failures: &[CheckpointFailure]) -> impl Iterator<Item = Poi
 }
 
 /// Runs one shard's compute stage: point expansion, keying and batched
-/// (parallel) cache lookups, artifact construction, parallel simulation, and
-/// record rendering — everything up to, but not including, durability I/O.
-/// `artifacts` is the resident store live artifacts flow through across shard
-/// (and sweep) boundaries. The shard's points and threads share one weight
-/// power memo per workload and one compiled simulator per accelerator
-/// ([`ShardArtifacts::memoized`]), so the shard folds each layer's
-/// data-aware weight power once per weight power model and compiles each
-/// accelerator once; the memos and the compiled simulators are dropped with
-/// the shard.
+/// (parallel) cache lookups, then simulation and record rendering of the
+/// misses through [`simulate_points`] — everything up to, but not including,
+/// durability I/O. `artifacts` is the resident store live artifacts flow
+/// through across shard (and sweep) boundaries. The misses share one weight
+/// power memo per workload and one compiled simulator per accelerator, and
+/// each distinct [`SimKey`] among them simulates once: data-unaware points
+/// that differ only in sparsity (or seed) share one report, from which each
+/// builds its own record, cache entry and failure, so no output byte moves.
+/// The 192-point `extract_heavy` sweep simulates 48 times in 64-point
+/// shards; a data-aware key holds its sparsity and seed, so nothing is
+/// shared there. The memos and the compiled simulators are dropped with the
+/// shard, and each report once its group's records are built.
 ///
 /// Each point is keyed once ([`content_key`]), and only when a cache is
 /// attached: the lookup ([`CacheBackend::get_batch_keyed`]) and a fresh
-/// record's cache entry share that key. Each fresh record is rendered to
-/// compact JSON once, on the worker threads, whether or not a cache is
-/// attached; the cache entry, every sink that writes the line
-/// ([`RecordSink::accept_rendered`]) and a worker's part body all reuse it.
-///
-/// The shard also simulates each distinct [`SimKey`] among its misses once:
-/// data-unaware points that differ only in sparsity (or seed) share one
-/// report, from which each builds its own record, cache entry and failure,
-/// so no output byte moves. A report is dropped once its last point has read
-/// it. The 192-point `extract_heavy` sweep simulates 48 times in 64-point
-/// shards; a data-aware key holds its sparsity and seed, so nothing is
-/// shared there. The local executor, resume, the daemon's bulk lane and the
-/// worker fleet all compute their shards here.
+/// record's cache entry share that key, which waits in its slot and joins
+/// the record in the scatter that also collects the failures in expansion
+/// order. Each fresh record is rendered to compact JSON once, on the worker
+/// threads, whether or not a cache is attached; the cache entry, every sink
+/// that writes the line ([`RecordSink::accept_rendered`]) and a worker's
+/// part body all reuse it. The local executor, resume, the daemon's bulk
+/// lane and the worker fleet all compute their shards here.
 pub(crate) fn compute_shard(
     spec: &SweepSpec,
     cache: Option<&dyn CacheBackend>,
@@ -931,19 +936,15 @@ pub(crate) fn compute_shard(
     artifacts: &std::sync::Mutex<ArtifactStore>,
 ) -> Result<(ComputedShard, Vec<PointFailure>)> {
     let shard_points = end - start;
-    let mut points: Vec<Option<SweepPoint>> =
-        (start..end).map(|i| Some(spec.point_at(i))).collect();
+    let points: Vec<SweepPoint> = (start..end).map(|i| spec.point_at(i)).collect();
 
     // Serve cache hits first; only misses go to the artifact store and the
     // thread pool. The whole shard is keyed and looked up as one (parallel)
-    // batch. Points and keys sit in `Option` slots so a missed point and
-    // its key can later be *moved* into its record instead of cloned.
+    // batch. Keys sit in `Option` slots so a miss's key can later be
+    // *moved* into its record instead of cloned.
     let (lookups, mut keys): (Vec<Option<SweepRecord>>, Vec<Option<String>>) = match cache {
         Some(cache) => {
-            let queried: Vec<&SweepPoint> = points
-                .iter()
-                .map(|p| p.as_ref().expect("all points present before execution"))
-                .collect();
+            let queried: Vec<&SweepPoint> = points.iter().collect();
             let keys: Vec<String> = queried.par_iter().map(|p| content_key(p)).collect();
             let lookups = cache.get_batch_keyed(&queried, &keys);
             // An out-of-contract override returning the wrong arity would
@@ -959,7 +960,8 @@ pub(crate) fn compute_shard(
     };
     let mut slots: Vec<Option<PreparedRecord>> = Vec::with_capacity(shard_points);
     let mut miss_indices: Vec<usize> = Vec::new();
-    for (slot, lookup) in lookups.into_iter().enumerate() {
+    let mut missed: Vec<SweepPoint> = Vec::new();
+    for (slot, (point, lookup)) in points.into_iter().zip(lookups).enumerate() {
         match lookup {
             Some(record) => slots.push(Some(PreparedRecord {
                 record,
@@ -969,88 +971,26 @@ pub(crate) fn compute_shard(
             None => {
                 slots.push(None);
                 miss_indices.push(slot);
+                missed.push(point);
             }
         }
     }
-    let hits = shard_points - miss_indices.len();
+    let hits = shard_points - missed.len();
 
-    // A fully-warm shard is done: no artifacts to build, nothing to
-    // simulate. (Skipping the empty plumbing below keeps the per-shard cost
-    // of warm sweeps down to the lookups themselves — and the resident store
-    // keeps whatever it holds, so a warm stretch in the middle of a sweep
-    // never drops live artifacts.)
-    if miss_indices.is_empty() {
-        return Ok((
-            ComputedShard {
-                shard,
-                points: shard_points,
-                hits,
-                slots,
-                checkpoint_failures: Vec::new(),
-                cache_degraded: 0,
-            },
-            Vec::new(),
-        ));
-    }
-
-    // Missed points and their keys move out of their slots and into the
-    // worker threads, which simulate, build the record around the point,
-    // and render its JSON — encoding happens here, in parallel, never in
-    // the I/O stage.
-    let missed: Vec<(SweepPoint, Option<String>)> = miss_indices
-        .iter()
-        .map(|&slot| {
-            let point = points[slot].take().expect("miss slot holds its point");
-            (point, keys[slot].take())
-        })
-        .collect();
-    let shard_artifacts = {
-        let missed_refs: Vec<&SweepPoint> = missed.iter().map(|(point, _)| point).collect();
-        ShardArtifacts::build(&missed_refs, artifacts)
-    };
-    let memoized = shard_artifacts.memoized();
-    // Keys that repeat among the misses get a shared slot; a key seen once
-    // simulates on its own, as if nothing were shared.
-    let mut members: HashMap<SimKey, usize> = HashMap::with_capacity(missed.len());
-    for (point, _) in &missed {
-        *members.entry(point.sim_key()).or_default() += 1;
-    }
-    let shared: HashMap<SimKey, SharedSimulation> = members
-        .into_iter()
-        .filter(|&(_, count)| count > 1)
-        .map(|(key, count)| (key, SharedSimulation::new(count)))
-        .collect();
-    type PointResult = std::result::Result<PreparedRecord, PointFailure>;
-    let computed: Vec<Result<PointResult>> = missed
-        .into_par_iter()
-        .map(|(point, key)| {
-            let sim_key = point.sim_key();
-            let record = match shared.get(&sim_key) {
-                Some(group) => group.read(
-                    || memoized.simulate(&sim_key),
-                    |simulated| point_record(point, simulated),
-                ),
-                None => point_record(point, &memoized.simulate(&sim_key)),
-            };
-            match record {
-                Ok(record) => {
-                    let json = serde_json::to_string(&record)?;
-                    Ok(Ok(PreparedRecord {
-                        record,
-                        json: Some(json),
-                        key,
-                    }))
-                }
-                Err(failure) => Ok(Err(failure)),
-            }
-        })
-        .collect();
-
+    // The worker threads build each miss's record around its point and
+    // render its JSON: encoding happens here, in parallel, never in the I/O
+    // stage.
+    let computed = simulate_points(artifacts, missed, prepare_record);
     let mut checkpoint_failures: Vec<CheckpointFailure> = Vec::new();
     let mut failures: Vec<PointFailure> = Vec::new();
-    for (&slot, result) in miss_indices.iter().zip(computed) {
+    for (slot, result) in miss_indices.into_iter().zip(computed) {
         match result? {
-            Ok(prepared) => slots[slot] = Some(prepared),
+            Ok(prepared) => {
+                slots[slot] = Some(PreparedRecord {
+                    key: keys[slot].take(),
+                    ..prepared
+                });
+            }
             Err(failure) => {
                 checkpoint_failures.push(CheckpointFailure {
                     index: failure.index,
@@ -1880,7 +1820,8 @@ mod tests {
         let store = ArtifactStore::shared(ArtifactBudget::default());
         let spec = SweepSpec::new("vgg8-bytes").with_workload(vec![WorkloadSpec::Vgg8]);
         let point = spec.expand().unwrap().remove(0);
-        simulate_point_shared(&store, &point).unwrap();
+        let simulated = simulate_points(&store, vec![point], |_, simulated| simulated.is_ok());
+        assert_eq!(simulated, vec![true]);
         // One workload and one accelerator resident.
         let stats = store.lock().unwrap().stats();
         assert_eq!(stats.entries, 2);
@@ -2027,20 +1968,34 @@ mod tests {
     }
 
     #[test]
-    fn simulate_point_shared_matches_cold_simulation() {
+    fn simulate_points_answers_in_input_order_like_cold_simulation() {
+        // The unaware points at sparsity 0 and 0.5 form one group, which
+        // sits between the two aware points, so the groups' order is not
+        // the input order.
         let store = ArtifactStore::shared(ArtifactBudget::default());
-        let spec = SweepSpec::new("shared-point").with_wavelengths(vec![2]);
-        let point = spec.expand().unwrap().remove(0);
-        let cold = simulate_point(&point).unwrap();
-        let first = simulate_point_shared(&store, &point).unwrap();
-        assert_eq!(format!("{first}"), format!("{cold}"));
+        let spec = SweepSpec::new("points")
+            .with_wavelengths(vec![2])
+            .with_sparsity(vec![0.0, 0.5])
+            .with_data_awareness(vec![
+                simphony::DataAwareness::Aware,
+                simphony::DataAwareness::Unaware,
+            ]);
+        let points = spec.expand().unwrap();
+        let cold: Vec<(usize, String)> = points
+            .iter()
+            .map(|point| (point.index, simulate_point(point).unwrap().to_string()))
+            .collect();
+        let answer = |point: SweepPoint, simulated: &SimResult<SimulationReport>| {
+            (point.index, simulated.as_ref().unwrap().to_string())
+        };
+        assert_eq!(simulate_points(&store, points.clone(), answer), cold);
+        // Two aware workloads, one shape-only workload, one accelerator.
         let before = store.lock().unwrap().stats();
-        assert_eq!(before.misses, 2);
-        let second = simulate_point_shared(&store, &point).unwrap();
-        assert_eq!(format!("{second}"), format!("{cold}"));
+        assert_eq!(before.misses, 4);
+        assert_eq!(simulate_points(&store, points, answer), cold);
         let after = store.lock().unwrap().stats();
         assert_eq!(after.misses, before.misses, "second call was fully warm");
-        assert_eq!(after.hits, before.hits + 2);
+        assert_eq!(after.hits, before.hits + 4);
     }
 
     /// Collects records but fails every accept after the first

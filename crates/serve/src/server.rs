@@ -10,9 +10,9 @@ use std::time::{Duration, Instant};
 
 use serde_json::Value;
 use simphony_explore::{
-    compute_shard_part, pareto_front, simulate_point_shared, ArtifactBudget, ArtifactStore,
-    CacheBackend, ExploreError, ExploreSession, Objective, RecordSink, Result, RetryPolicy,
-    SharedArtifactStore, SweepRecord, SweepSpec,
+    compute_shard_part, pareto_front, simulate_points, ArtifactBudget, ArtifactStore, CacheBackend,
+    ExploreError, ExploreSession, Objective, RecordSink, Result, RetryPolicy, SharedArtifactStore,
+    SweepRecord, SweepSpec,
 };
 use simphony_traffic::{run_serving_with, ServingRecord, ServingSpec};
 
@@ -57,7 +57,8 @@ pub struct ServeConfig {
     /// read it back from [`Server::local_addr`]).
     pub addr: String,
     /// Per-request point budget: sweeps and serving sweeps whose expansion
-    /// exceeds this are rejected as usage errors before any work starts.
+    /// exceeds this, or serving specs with more (template, class) probes,
+    /// are rejected as usage errors before any work starts.
     /// Clients may lower it per request with `max_points`, never raise it.
     /// 0 = unlimited.
     pub max_points: usize,
@@ -481,15 +482,22 @@ fn effective_budget(server_cap: usize, client_cap: Option<usize>) -> usize {
     }
 }
 
-/// Rejects over-budget expansions before any work is admitted to the pool.
-fn check_budget(total: usize, budget: usize, out: &mut BufWriter<TcpStream>) -> io::Result<bool> {
+/// Rejects over-budget expansions before any work is admitted to the pool:
+/// `total` counts the request's `what` (its points, or a serving spec's
+/// service-table probes).
+fn check_budget(
+    total: usize,
+    what: &str,
+    budget: usize,
+    out: &mut BufWriter<TcpStream>,
+) -> io::Result<bool> {
     if budget != 0 && total > budget {
         send_frame(
             out,
             &protocol::error_frame(
                 EXIT_USAGE,
                 &format!(
-                    "request expands to {total} points, over the admitted budget of \
+                    "request expands to {total} {what}, over the admitted budget of \
                      {budget}; shrink the sweep or raise the server's --max-points"
                 ),
             ),
@@ -520,38 +528,39 @@ fn run_request(
     out: &mut BufWriter<TcpStream>,
 ) -> io::Result<()> {
     // A `run` spec is the whole request, as its flags are for the CLI's
-    // `run`: one that fails validation is a usage error.
-    let points = match spec.expand() {
-        Ok(points) => points,
+    // `run`: one that fails validation is a usage error. It is counted, not
+    // expanded, so its size costs nothing before it is refused.
+    let point = match spec.validate().and_then(|()| spec.point_count()) {
+        Ok(1) => spec.point_at(0),
+        Ok(count) => {
+            return send_frame(
+                out,
+                &protocol::error_frame(
+                    EXIT_USAGE,
+                    &format!("`run` spec must expand to exactly one point, got {count}"),
+                ),
+            )
+        }
         Err(e) => return send_frame(out, &protocol::error_frame(EXIT_USAGE, &e.to_string())),
     };
-    if points.len() != 1 {
-        return send_frame(
-            out,
-            &protocol::error_frame(
-                EXIT_USAGE,
-                &format!(
-                    "`run` spec must expand to exactly one point, got {}",
-                    points.len()
-                ),
-            ),
-        );
-    }
-    match simulate_point_shared(&state.artifacts, &points[0]) {
-        Ok(report) => {
+    let answer = simulate_points(&state.artifacts, vec![point], |point, simulated| {
+        match simulated {
             // The CLI prints the report with `println!`; carrying the same
             // trailing newline keeps the payload byte-identical.
-            write_line(out, &protocol::report_frame(&format!("{report}\n")))?;
+            Ok(report) => Ok(protocol::report_frame(&format!("{report}\n"))),
+            Err(source) => Err(ExploreError::Point {
+                index: 0,
+                label: point.label(),
+                source: source.clone(),
+            }),
+        }
+    });
+    match answer.into_iter().next().expect("one answer per point") {
+        Ok(report) => {
+            write_line(out, &report)?;
             send_frame(out, &protocol::run_summary_frame())
         }
-        Err(source) => {
-            let err = ExploreError::Point {
-                index: 0,
-                label: points[0].label(),
-                source,
-            };
-            send_frame(out, &protocol::error_frame(EXIT_HARD, &err.to_string()))
-        }
+        Err(err) => send_frame(out, &protocol::error_frame(EXIT_HARD, &err.to_string())),
     }
 }
 
@@ -598,7 +607,7 @@ fn sweep_request(
         Err(e) => return send_frame(out, &protocol::error_frame(EXIT_HARD, &e.to_string())),
     };
     let budget = effective_budget(state.config.max_points, max_points);
-    if !check_budget(total, budget, out)? {
+    if !check_budget(total, "points", budget, out)? {
         return Ok(());
     }
     let _lane = bulk_lane(state, total);
@@ -646,7 +655,13 @@ fn serve_sim_request(
         Err(e) => return send_frame(out, &protocol::error_frame(EXIT_HARD, &e.to_string())),
     };
     let budget = effective_budget(state.config.max_points, None);
-    if !check_budget(total, budget, out)? {
+    // The service tables simulate one point per (template, class) probe,
+    // all held at once, so the probe grid counts against the budget too.
+    // A grid too large to count is over every finite budget.
+    let probes = spec.fleet.len().saturating_mul(spec.classes.len());
+    if !check_budget(total, "points", budget, out)?
+        || !check_budget(probes, "service-table probes", budget, out)?
+    {
         return Ok(());
     }
     let _lane = bulk_lane(state, total);
@@ -768,7 +783,7 @@ fn compute_shard_request(
     }
     let points = end - start;
     let budget = effective_budget(state.config.max_points, None);
-    if !check_budget(points, budget, out)? {
+    if !check_budget(points, "points", budget, out)? {
         return Ok(());
     }
     let _lane = bulk_lane(state, points);

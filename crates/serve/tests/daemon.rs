@@ -9,12 +9,12 @@ use std::time::{Duration, Instant};
 
 use simphony::DataAwareness;
 use simphony_explore::{
-    pareto_front, read_jsonl, simulate_point, write_jsonl, CacheBackend, ExploreSession,
-    FaultInjector, FaultKind, FaultPlan, FaultyCache, JsonlSink, Objective, PackedSegmentCache,
-    RetryPolicy, SweepSpec,
+    pareto_front, read_jsonl, simulate_point, write_jsonl, ArchFamily, CacheBackend,
+    ExploreSession, FaultInjector, FaultKind, FaultPlan, FaultyCache, JsonlSink, Objective,
+    PackedSegmentCache, RetryPolicy, SweepSpec, WorkloadSpec,
 };
 use simphony_serve::{check, request, Client, ServeConfig, Server, MAX_REQUEST_LINE_BYTES};
-use simphony_traffic::{run_serving_with, ServingSpec};
+use simphony_traffic::{run_serving_with, FleetTemplate, RequestClass, ServingSpec};
 
 const TIMEOUT: Duration = Duration::from_secs(120);
 
@@ -467,6 +467,93 @@ fn point_budget_rejects_oversized_sweeps_as_usage_errors() {
     );
     let lines = request(&addr, &line, TIMEOUT).expect("round-trip");
     assert_eq!(frame_field_u64(&lines[0], &["exit_code"]), 2);
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn the_point_budget_bounds_a_serve_sim_probe_grid() {
+    let config = ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        max_points: 10,
+        ..ServeConfig::default()
+    };
+    let server = Server::start(config, None).expect("server starts");
+    let addr = server.local_addr().to_string();
+    // A one-point serving spec whose service tables probe every (template,
+    // class) pair.
+    let grid = |templates: usize, classes: usize| {
+        let mut spec = ServingSpec::new("probe-grid");
+        spec.fleet = vec![FleetTemplate::new(ArchFamily::Tempo); templates];
+        spec.classes = (1..=classes)
+            .map(|c| {
+                RequestClass::new(WorkloadSpec::Gemm {
+                    m: 16,
+                    k: 16,
+                    n: 16 * c,
+                })
+            })
+            .collect();
+        format!(
+            "{{\"kind\":\"serve-sim\",\"spec\":{}}}",
+            serde_json::to_string(&spec).expect("spec serializes"),
+        )
+    };
+
+    // 4 x 3 = 12 probes > 10: refused before any probe simulates.
+    let lines = request(&addr, &grid(4, 3), TIMEOUT).expect("round-trip");
+    assert_eq!(lines.len(), 1, "rejected before streaming: {lines:?}");
+    assert!(lines[0].starts_with("{\"frame\":\"error\""), "{}", lines[0]);
+    assert_eq!(frame_field_u64(&lines[0], &["exit_code"]), 2);
+    assert!(lines[0].contains("12 service-table probes"), "{}", lines[0]);
+
+    // 3 x 3 = 9 probes fit.
+    let lines = request(&addr, &grid(3, 3), TIMEOUT).expect("round-trip");
+    let (records, frames) = split_response(&lines);
+    assert_eq!(records.len(), 1, "{lines:?}");
+    assert_eq!(
+        frame_field_u64(frames.last().expect("summary"), &["exit_code"]),
+        0
+    );
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn a_run_spec_of_a_quadrillion_points_is_counted_not_expanded() {
+    // 1,000 values on each of five axes make 10^15 points. A daemon that
+    // expanded the spec before counting it aborted on the allocation,
+    // dropping every connection.
+    let server = Server::start(ephemeral_config(), None).expect("server starts");
+    let addr = server.local_addr().to_string();
+    let mut client = Client::connect(&addr, TIMEOUT)
+        .expect("client connects")
+        .reconnect_policy(RetryPolicy::none());
+    let spec = SweepSpec::new("huge-run")
+        .with_tiles(vec![1; 1000])
+        .with_cores_per_tile(vec![1; 1000])
+        .with_core_dims(vec![1; 1000])
+        .with_wavelengths(vec![1; 1000]);
+    let line = format!(
+        "{{\"kind\":\"run\",\"spec\":{}}}",
+        serde_json::to_string(&spec).expect("spec serializes"),
+    );
+    let lines = client.send(&line).expect("run request round-trips");
+    assert_eq!(lines.len(), 1, "{lines:?}");
+    assert!(lines[0].starts_with("{\"frame\":\"error\""), "{}", lines[0]);
+    assert_eq!(frame_field_u64(&lines[0], &["exit_code"]), 2);
+    assert!(
+        lines[0].contains("exactly one point, got 1000000000000000"),
+        "{}",
+        lines[0]
+    );
+
+    let pong = client
+        .send("{\"kind\":\"ping\"}")
+        .expect("ping round-trips");
+    assert!(pong[0].starts_with("{\"frame\":\"pong\""), "{}", pong[0]);
 
     server.shutdown();
     server.join();

@@ -22,10 +22,14 @@
 //!   with round-robin or join-shortest-queue dispatch; batching amortizes a
 //!   configurable fraction of service time; bounded queues drop overload;
 //! * [`build_service_tables`] — bridges the photonic simulator into the
-//!   queueing model: one `Simulator::simulate` probe per (fleet template,
-//!   request class) pair, distilled to a per-request
-//!   [`ServiceProfile`](simphony::ServiceProfile) (service time + energy),
-//!   with accelerators and workloads built once and shared behind `Arc`s;
+//!   queueing model: one simulated probe per (fleet template, request class)
+//!   pair, distilled to a per-request
+//!   [`ServiceProfile`](simphony::ServiceProfile) (service time + energy).
+//!   The whole probe grid runs through the sweep engine's
+//!   [`simulate_points`](simphony_explore::simulate_points): each class's
+//!   workload is extracted and its weight power folded once, each distinct
+//!   accelerator is built and compiled once, and each distinct probe
+//!   simulates once, so identical templates share their probes;
 //! * [`ServingReport`] / [`ServingRecord`] — p50/p99/p999 sojourn latency,
 //!   throughput, utilization, drop count, time-averaged occupancy (Little's
 //!   `L`) and energy per request; records flow through the generic

@@ -1,16 +1,13 @@
 //! Runs serving specs end to end: service-table construction, point
 //! execution, and deterministic sharded sweeps into record sinks.
 
-use std::sync::Arc;
+use std::sync::Mutex;
 
 use rayon::prelude::*;
 
-use simphony::Accelerator;
 use simphony_explore::{
-    build_accelerator, extract_workload, simulate_point_with, ExploreError, RecordSink, Result,
-    SweepPoint,
+    simulate_points, ArtifactStore, ExploreError, RecordSink, Result, SweepPoint,
 };
-use simphony_onn::ModelWorkload;
 
 use crate::engine::{run_engine, ArrivalKind, EngineConfig, ServiceCost};
 use crate::record::ServingRecord;
@@ -67,63 +64,60 @@ fn probe_point(spec: &ServingSpec, template: &FleetTemplate, class: &RequestClas
 /// Builds the service tables of `spec`: one simulated inference per
 /// (fleet template, request class) pair.
 ///
-/// Workloads are extracted once per class and accelerators built once per
-/// template, shared behind [`Arc`]s across the probe grid — the same
-/// artifact-sharing contract as the sweep executor's shards.
+/// The whole probe grid, template-major, simulates in one call of
+/// [`simulate_points`] over a private artifact store, so each class's
+/// workload is extracted, and its weight power folded, once; each distinct
+/// accelerator is built and compiled once; and identical templates share
+/// their probes' simulations.
 ///
 /// # Errors
 ///
-/// Propagates spec validation errors and, as [`ExploreError::Point`], any
-/// failing probe simulation (labelled with its template and class).
+/// Propagates spec validation errors and, as [`ExploreError::Point`], the
+/// first failing probe in template-major order, labelled with its template
+/// and class.
 pub fn build_service_tables(spec: &ServingSpec) -> Result<ServiceTables> {
     spec.validate()?;
-    let point_err = |label: String| {
-        move |source| ExploreError::Point {
-            index: 0,
-            label,
-            source,
-        }
-    };
-    let workloads: Vec<ModelWorkload> = spec
-        .classes
-        .iter()
-        .map(|class| {
-            extract_workload(&probe_point(spec, &spec.fleet[0], class))
-                .map_err(point_err(format!("class {}", class.workload.label())))
-        })
-        .collect::<Result<_>>()?;
-    let per_template = spec
+    let probes: Vec<SweepPoint> = spec
         .fleet
         .iter()
-        .enumerate()
-        .map(|(t, template)| {
-            let accel: Arc<Accelerator> = Arc::new(
-                build_accelerator(&probe_point(spec, template, &spec.classes[0])).map_err(
-                    point_err(format!("fleet template #{t} ({})", template.arch)),
-                )?,
-            );
+        .flat_map(|template| {
             spec.classes
                 .iter()
-                .zip(&workloads)
-                .map(|(class, workload)| {
-                    let point = probe_point(spec, template, class);
-                    let report = simulate_point_with(&point, &accel, workload).map_err(
-                        point_err(format!(
-                            "fleet template #{t} ({}) serving {}",
-                            template.arch,
-                            class.workload.label()
-                        )),
-                    )?;
-                    let profile = report.service_profile();
-                    Ok(ServiceCost {
-                        time_ms: profile.latency.milliseconds(),
-                        energy_uj: profile.energy.microjoules(),
-                    })
-                })
-                .collect::<Result<Vec<ServiceCost>>>()
+                .map(move |class| probe_point(spec, template, class))
         })
-        .collect::<Result<Vec<_>>>()?;
-    Ok(ServiceTables { per_template })
+        .collect();
+    let store = Mutex::new(ArtifactStore::default());
+    let costs = simulate_points(&store, probes, |_, simulated| {
+        simulated.as_ref().map_err(Clone::clone).map(|report| {
+            let profile = report.service_profile();
+            ServiceCost {
+                time_ms: profile.latency.milliseconds(),
+                energy_uj: profile.energy.microjoules(),
+            }
+        })
+    });
+    let classes = spec.classes.len();
+    let costs = costs
+        .into_iter()
+        .enumerate()
+        .map(|(probe, cost)| {
+            cost.map_err(|source| {
+                let (t, class) = (probe / classes, &spec.classes[probe % classes]);
+                ExploreError::Point {
+                    index: 0,
+                    label: format!(
+                        "fleet template #{t} ({}) serving {}",
+                        spec.fleet[t].arch,
+                        class.workload.label()
+                    ),
+                    source,
+                }
+            })
+        })
+        .collect::<Result<Vec<ServiceCost>>>()?;
+    Ok(ServiceTables {
+        per_template: costs.chunks(classes).map(<[ServiceCost]>::to_vec).collect(),
+    })
 }
 
 /// The deterministic per-point RNG seed: decorrelates neighbouring points
