@@ -1998,6 +1998,24 @@ mod tests {
         assert_eq!(after.hits, before.hits + 4);
     }
 
+    #[test]
+    fn a_panic_in_simulate_points_reaches_the_caller_with_its_payload() {
+        let store = ArtifactStore::shared(ArtifactBudget::default());
+        let points = SweepSpec::new("panics")
+            .with_wavelengths(vec![1, 2, 4])
+            .expand()
+            .unwrap();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            simulate_points(&store, points, |point, _| {
+                if point.index == 1 {
+                    panic!("point {} refuses", point.index);
+                }
+            })
+        }));
+        let payload = caught.expect_err("the panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<String>().unwrap(), "point 1 refuses");
+    }
+
     /// Collects records but fails every accept after the first
     /// `accepts_left`.
     struct DyingSink {
